@@ -33,9 +33,5 @@ class TailBoundTooLooseError(CarfimaError):
     """Aliased-spectrum tail bracket wider than the requested tolerance."""
 
 
-class EmbeddingNotPSDError(CarfimaError):
-    """Circulant embedding produced a significantly negative eigenvalue."""
-
-
 class FactorizationFailureError(CarfimaError):
     """Covariance factorization failed even after jitter escalation."""

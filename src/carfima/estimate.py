@@ -193,7 +193,9 @@ def h_to_logit(H: float, side: str) -> float:
 
 def logit_to_h(x: float, side: str) -> float:
     lo, hi = _h_bounds(side)
-    return lo + (hi - lo) / (1.0 + math.exp(-x))
+    # exp(-x) overflows below x = -709.78, where the logistic is already
+    # below 1e-308 and lo + (hi - lo) * it rounds to lo
+    return lo + (hi - lo) / (1.0 + math.exp(min(-x, 709.0)))
 
 
 def _h_bounds(side: str) -> tuple[float, float]:

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .errors import DomainError, EmbeddingNotPSDError
+from .errors import DomainError, FactorizationFailureError
 
 EMBEDDING_EIG_RTOL = 1e-10
+# relative diagonal jitters tried in turn when the Toeplitz Cholesky fails
+CHOLESKY_JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
 
 @dataclass(frozen=True)
@@ -75,54 +77,75 @@ def _as_rng(seed) -> np.random.Generator:
 def simulate_fgn(H: float, n: int, dt: float, seed) -> np.ndarray:
     """n fBm increments over steps of length dt, exact in distribution.
 
-    Circulant embedding of the Toeplitz covariance dt^{2H} gamma_F(k):
-    the length-2(n-1) circulant is diagonalized by FFT and sampled in the
-    spectral domain.  If an embedding eigenvalue is significantly negative
-    the (slower) Cholesky factorization of the Toeplitz matrix is used
-    instead.  Deterministic for a given integer seed.
+    Samples the Toeplitz covariance dt^{2H} gamma_F(k) through
+    `_toeplitz_rows`.  Deterministic for a given integer seed.
     """
     _check_h(H)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
-    rng = _as_rng(seed)
-    scale = dt ** (2 * H)
-    if n == 1:
-        return rng.standard_normal(1) * dt**H
-    cov = scale * np.array([fgn_autocovariance(H, k) for k in range(n)])
-    m = 2 * (n - 1)
-    circ = np.concatenate([cov, cov[-2:0:-1]])
-    eig = np.fft.fft(circ).real
-    if eig.min() < -EMBEDDING_EIG_RTOL * eig.max():
+    cov = dt ** (2 * H) * np.array([fgn_autocovariance(H, k) for k in range(n)])
+    return _toeplitz_rows(cov, 1, _as_rng(seed))[0]
+
+
+def _toeplitz_rows(cov: np.ndarray, n_paths: int, rng: np.random.Generator) -> np.ndarray:
+    """(n_paths, n) rows with covariance toeplitz(cov), cov = gamma(0..n-1).
+
+    Circulant embedding (Davies & Harte 1987; Wood & Chan 1994) costs
+    O(n log n) per row but draws 2(n-1) normals per row where Cholesky
+    draws n, so it is used when n_paths <= n, n >= 2 and the minimal
+    length-2(n-1) circulant is PSD to EMBEDDING_EIG_RTOL.  Otherwise the
+    Toeplitz matrix is factored by `_cholesky_rows`; a non-PSD embedding
+    also warns.  Padding the embedding is not attempted: on the inputs
+    where the minimal one fails, padding cost more than the Cholesky it
+    saves.
+    """
+    n = len(cov)
+    if 1 < n and n_paths <= n:
+        eig = np.fft.rfft(np.concatenate([cov, cov[-2:0:-1]])).real
+        if eig.min() >= -EMBEDDING_EIG_RTOL * eig.max():
+            return _circulant_rows(eig, rng.standard_normal((n_paths, 2 * (n - 1))))
         warnings.warn(
-            f"circulant embedding not PSD (min eig {eig.min():.3e}); "
-            "falling back to Toeplitz Cholesky",
-            stacklevel=2,
+            "circulant embedding not PSD (min/max eigenvalue "
+            f"{eig.min() / eig.max():.3e}); falling back to Toeplitz Cholesky",
+            stacklevel=3,
         )
-        return _toeplitz_sample(cov, rng)
-    eig = np.clip(eig, 0.0, None)
-    w = np.zeros(m, dtype=complex)
-    w[0] = np.sqrt(eig[0] / m) * rng.standard_normal()
-    w[n - 1] = np.sqrt(eig[n - 1] / m) * rng.standard_normal()
-    re = rng.standard_normal(n - 2)
-    im = rng.standard_normal(n - 2)
-    interior = np.sqrt(eig[1 : n - 1] / (2 * m)) * (re + 1j * im)
-    w[1 : n - 1] = interior
-    w[m - 1 : n - 1 : -1] = np.conj(interior)
-    return np.fft.fft(w).real[:n]
+    return _cholesky_rows(cov, n_paths, rng)
 
 
-def _toeplitz_sample(cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _circulant_rows(eig: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Rows of z, standard normal (k, 2(n-1)), mapped through the embedding.
+
+    eig holds the n half-spectrum eigenvalues of the circulant.  Each row
+    of z is laid out [w_0, w_{n-1}, Re w_1..w_{n-2}, Im w_1..w_{n-2}]; the
+    Hermitian spectrum they define is inverted by one real FFT.
+    """
+    n = len(eig)
+    m = 2 * (n - 1)
+    scale = np.sqrt(np.clip(eig, 0.0, None) / m)
+    spec = np.empty((z.shape[0], n), dtype=complex)
+    spec[:, 0] = scale[0] * z[:, 0]
+    spec[:, -1] = scale[-1] * z[:, 1]
+    spec[:, 1:-1] = scale[1:-1] / np.sqrt(2.0) * (z[:, 2:n] - 1j * z[:, n:])
+    return np.fft.irfft(spec, m, norm="forward")[:, :n]
+
+
+def _cholesky_rows(cov: np.ndarray, n_paths: int, rng: np.random.Generator) -> np.ndarray:
+    """Toeplitz Cholesky rows, with the diagonal jittered only on failure."""
+    n = len(cov)
     T = toeplitz(cov)
-    g0 = cov[0]
-    for jitter in (0.0, 1e-12, 1e-10, 1e-8):
+    for jitter in CHOLESKY_JITTERS:
+        T.flat[:: n + 1] = cov[0] * (1.0 + jitter)
         try:
-            L = np.linalg.cholesky(T + jitter * g0 * np.eye(len(cov)))
+            L = np.linalg.cholesky(T)
         except np.linalg.LinAlgError:
             continue
-        return L @ rng.standard_normal(len(cov))
-    raise EmbeddingNotPSDError("Toeplitz fallback factorization failed")
+        return (L @ rng.standard_normal((n, n_paths))).T
+    raise FactorizationFailureError(
+        "Toeplitz covariance not factorizable after jitter escalation; "
+        "this indicates an autocovariance computation bug"
+    )
 
 
 def integral_cov_direct(f: StepFunction, g: StepFunction, H: float) -> float:

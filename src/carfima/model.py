@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +33,8 @@ class CarfimaModel:
 
     alpha holds (alpha_0, ..., alpha_p): the drift constant followed by the
     autoregressive coefficients.  beta holds (beta_1, ..., beta_q) and is
-    empty for q = 0.  Requires sigma > 0, alpha_1 != 0, beta_q != 0 when
-    q >= 1, 0 < H < 1 and 0 <= q < p.
+    empty for q = 0.  Requires finite parameters, sigma > 0, alpha_1 != 0,
+    beta_q != 0 when q >= 1, 0 < H < 1 and 0 <= q < p.
     """
 
     p: int
@@ -46,6 +47,8 @@ class CarfimaModel:
     def __post_init__(self):
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
+        if not all(math.isfinite(v) for v in (*self.alpha, *self.beta, self.H, self.sigma)):
+            raise DomainError("alpha, beta, H and sigma must be finite")
         if self.p < 1:
             raise DomainError(f"p must be >= 1, got {self.p}")
         if not 0 <= self.q < self.p:

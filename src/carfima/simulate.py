@@ -1,10 +1,12 @@
 """Regularly sampled stationary paths, two ways.
 
-The exact simulator factorizes the Toeplitz covariance built from the
-autocovariance routes and transforms i.i.d. Gaussians; the approximate
-simulator discretizes the state equation with an exact-in-A exponential
-step driven by fractional Gaussian noise increments at sub-step
-resolution.  Their agreement is itself a test of the covariance theory.
+The exact simulator samples the Toeplitz covariance built from the
+autocovariance routes: by circulant embedding, O(n log n) per path, or by
+its Cholesky factor when the embedding is not PSD or more paths than lags
+are asked for.  The approximate simulator discretizes the state equation
+with an exact-in-A exponential step driven by fractional Gaussian noise
+increments at sub-step resolution.  Their agreement is itself a test of
+the covariance theory.
 """
 
 from __future__ import annotations
@@ -16,14 +18,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, toeplitz
+from scipy.linalg import expm
 
 from .acf import autocovariance
-from .errors import DomainError, FactorizationFailureError
-from .fgn import simulate_fgn
+from .errors import DomainError
+from .fgn import _toeplitz_rows, simulate_fgn
 from .model import CarfimaModel, ModelParts, prepare, stationary_mean
-
-EXACT_JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
 
 @dataclass(frozen=True)
@@ -85,25 +85,6 @@ def read_path_csv(path) -> tuple[np.ndarray, float]:
     return np.array(ys), h
 
 
-def _toeplitz_factor(model: CarfimaModel, n: int, step_h: float,
-                     parts: ModelParts) -> np.ndarray:
-    lags = np.arange(n) * step_h
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        table = autocovariance(model, lags, method="auto", parts=parts)
-    g0 = table.values[0]
-    cov = toeplitz(table.values)
-    for jitter in EXACT_JITTERS:
-        try:
-            return np.linalg.cholesky(cov + jitter * g0 * np.eye(n))
-        except np.linalg.LinAlgError:
-            continue
-    raise FactorizationFailureError(
-        "Toeplitz covariance not factorizable after jitter escalation; "
-        "this indicates an autocovariance computation bug"
-    )
-
-
 def exact_gaussian_paths(
     model: CarfimaModel,
     n: int,
@@ -114,19 +95,22 @@ def exact_gaussian_paths(
 ) -> np.ndarray:
     """(n_paths, n) matrix of independent exact stationary paths.
 
-    All paths share one Cholesky factor; the i.i.d. block is drawn from a
-    generator seeded by SeedSequence(seed), so results are reproducible
-    and independent of how callers parallelize downstream.
+    The Toeplitz covariance of lags 0, h, ..., (n-1)h is sampled by
+    circulant embedding when n_paths <= n and the embedding is PSD, and by
+    one Cholesky factor shared by all paths otherwise.  The Gaussian block
+    is drawn from a generator seeded by SeedSequence(seed), so results are
+    reproducible and independent of how callers parallelize downstream.
     """
     if n < 1 or n_paths < 1:
         raise DomainError("n and n_paths must be >= 1")
     parts = parts or prepare(model)
     if not parts.stationary:
         raise DomainError("exact simulation requires a stationary model")
-    L = _toeplitz_factor(model, n, step_h, parts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        table = autocovariance(model, np.arange(n) * step_h, method="auto", parts=parts)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    z = rng.standard_normal((n, n_paths))
-    return stationary_mean(model) + (L @ z).T
+    return stationary_mean(model) + _toeplitz_rows(table.values, n_paths, rng)
 
 
 def simulate_exact(model: CarfimaModel, n: int, step_h: float, seed: int,

@@ -175,12 +175,18 @@ def aliased_spectrum_detail(
         raise DomainError(f"omega must lie in [-pi, pi], got {omega}")
     trunc, tail_lo, tail_hi = _aliased_core(model, np.array([float(omega)]), step_h, K)
     value = float(trunc[0]) + 0.5 * (tail_lo + tail_hi)
-    width = tail_hi - tail_lo
-    if math.isfinite(value) and width > bracket_rtol * abs(value):
-        raise TailBoundTooLooseError(
-            f"tail bracket width {width:.3e} exceeds {bracket_rtol:.1e} of value {value:.6e}"
-        )
+    _check_bracket(np.array([value]), tail_hi - tail_lo, bracket_rtol)
     return AliasedValue(value=value, tail_lo=tail_lo, tail_hi=tail_hi)
+
+
+def _check_bracket(values: np.ndarray, width: float, rtol: float) -> None:
+    """Raise if the tail bracket exceeds rtol of any finite aliased value."""
+    loose = np.isfinite(values) & (width > rtol * np.abs(values))
+    if np.any(loose):
+        value = float(values[np.argmax(loose)])
+        raise TailBoundTooLooseError(
+            f"tail bracket width {width:.3e} exceeds {rtol:.1e} of value {value:.6e}"
+        )
 
 
 def aliased_spectrum(
@@ -215,6 +221,7 @@ def spectrum_table(
         raise DomainError("aliased spectra need step_h")
     trunc, tail_lo, tail_hi = _aliased_core(model, omegas, step_h, K)
     values = trunc + 0.5 * (tail_lo + tail_hi)
+    _check_bracket(values, tail_hi - tail_lo, DEFAULT_BRACKET_RTOL)
     return SpectrumTable(omegas=omegas, values=values, kind=kind, step_h=step_h,
                          truncation_K=K)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from carfima import (
     CarfimaModel,
     DomainError,
     SamplePath,
+    exact_gaussian_paths,
     fit,
     periodogram,
     profile_sigma2,
@@ -136,6 +138,12 @@ class TestLogisticMap:
         with pytest.raises(DomainError):
             h_to_logit(0.7, "low")
 
+    def test_extreme_logits_saturate(self):
+        # math.exp(-x) alone overflows below x = -709.78
+        assert logit_to_h(-800.0, "low") == 0.01
+        assert logit_to_h(-1e308, "high") == 0.505
+        assert logit_to_h(800.0, "low") == 0.495
+
 
 class TestFit:
     def test_recovery_smoke(self):
@@ -159,6 +167,17 @@ class TestFit:
         path = simulate_exact(m, 1024, 1.0, seed=2)
         r = fit(path, 1, 0, init=car1(0.65), seed=0, n_starts=2)
         assert r.model_hat.H > 0.5
+
+    def test_logit_below_exp_range_does_not_overflow(self):
+        # the simplex drives the H logit below -709.78 on this path, where an
+        # unguarded math.exp(-x) raised OverflowError
+        m = CarfimaModel(p=2, q=1, alpha=(0.0, -1.0, -1.5), beta=(0.5,), H=0.3,
+                         sigma=1.0)
+        path = _path(exact_gaussian_paths(m, 4096, 1.0, 2, seed=5)[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            r = fit(path, 2, 1, seed=0, n_starts=4)
+        assert 0.0 < r.model_hat.H < 1.0
 
     def test_result_json_fields(self):
         m = car1(0.7)

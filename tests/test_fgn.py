@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from carfima import (
     DomainError,
     StepFunction,
+    autocovariance,
     fbm_cov,
     fgn_autocovariance,
     integral_cov_direct,
     integral_cov_kernel,
     simulate_fgn,
 )
-from carfima.fgn import _toeplitz_sample
+from carfima.fgn import _circulant_rows, _cholesky_rows
+
+from conftest import car1
 
 
 def random_step(rng, max_pieces=6, span=5.0):
@@ -104,15 +108,27 @@ class TestSimulateFgn:
         assert x.shape == (1,)
 
     def test_toeplitz_fallback_covariance(self):
-        # exercise the Cholesky path directly with the fGn covariance
+        # exercise the shared Cholesky ladder directly with the fGn covariance
         H, n = 0.3, 64
         cov = np.array([fgn_autocovariance(H, k) for k in range(n)])
         rng = np.random.default_rng(11)
-        draws = np.stack([_toeplitz_sample(cov, rng) for _ in range(4000)])
+        draws = _cholesky_rows(cov, 4000, rng)
         emp0 = np.mean(draws[:, 0] * draws[:, 0])
         emp1 = np.mean(draws[:, :-1] * draws[:, 1:])
         assert emp0 == pytest.approx(1.0, abs=0.08)
         assert emp1 == pytest.approx(cov[1], abs=0.05)
+
+    @pytest.mark.parametrize("n", [2, 3, 64])
+    def test_embedding_covariance_oracle(self, n):
+        # rows of the identity pass the kernel's linear map through unchanged,
+        # so A^T A is exactly the covariance the embedding samples
+        covs = [np.array([fgn_autocovariance(0.3, k) for k in range(n)]),
+                autocovariance(car1(0.7), np.arange(n) * 0.5).values]
+        for cov in covs:
+            eig = np.fft.rfft(np.concatenate([cov, cov[-2:0:-1]])).real
+            assert eig.min() > 0
+            A = _circulant_rows(eig, np.eye(2 * (n - 1)))
+            assert np.max(np.abs(A.T @ A - toeplitz(cov))) < 1e-12 * cov[0]
 
     def test_invalid_args(self):
         with pytest.raises(DomainError):

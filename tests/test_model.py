@@ -207,6 +207,11 @@ class TestModelValidation:
             dict(p=2, q=1, alpha=(0.0, -1.0, -2.0), beta=(0.0,), H=0.5, sigma=1.0),
             dict(p=1, q=1, alpha=(0.0, -1.0), beta=(0.5,), H=0.5, sigma=1.0),
             dict(p=2, q=0, alpha=(0.0, -1.0), beta=(), H=0.5, sigma=1.0),
+            dict(p=1, q=0, alpha=(0.0, -1.0), beta=(), H=0.5, sigma=math.inf),
+            dict(p=1, q=0, alpha=(math.nan, -1.0), beta=(), H=0.5, sigma=1.0),
+            dict(p=1, q=0, alpha=(0.0, math.nan), beta=(), H=0.5, sigma=1.0),
+            dict(p=2, q=1, alpha=(0.0, -1.0, -2.0), beta=(math.inf,), H=0.5, sigma=1.0),
+            dict(p=1, q=0, alpha=(0.0, -1.0), beta=(), H=math.nan, sigma=1.0),
         ],
     )
     def test_invalid_models_rejected(self, kwargs):

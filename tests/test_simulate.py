@@ -1,9 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import toeplitz
 
 from carfima import (
     CarfimaModel,
@@ -19,6 +21,7 @@ from carfima import (
     stationary_mean,
 )
 import carfima.simulate as sim_mod
+from carfima.fgn import _circulant_rows
 
 from conftest import car1
 
@@ -88,6 +91,34 @@ class TestExactSimulator:
         monkeypatch.setattr(sim_mod, "autocovariance", bad_autocov)
         with pytest.raises(FactorizationFailureError):
             simulate_exact(car1(0.7), 64, 1.0, seed=0)
+
+    def test_embedding_route_mapping(self):
+        # PSD embedding and n_paths <= n: one (n_paths, 2(n-1)) normal block
+        m, n = car1(0.7, a0=2.0), 64
+        g = autocovariance(m, np.arange(n) * 0.5).values
+        eig = np.fft.rfft(np.concatenate([g, g[-2:0:-1]])).real
+        rng = np.random.default_rng(np.random.SeedSequence(3))
+        expect = 2.0 + _circulant_rows(eig, rng.standard_normal((5, 2 * (n - 1))))
+        assert np.array_equal(exact_gaussian_paths(m, n, 0.5, 5, seed=3), expect)
+
+    @pytest.mark.parametrize(
+        "model, n, step_h, n_paths, warns",
+        [
+            # minimal embedding not PSD (min/max eigenvalue about -1e-3)
+            (car1(0.9, a1=-0.01), 128, 0.5, 3, True),
+            # more paths than lags: Cholesky draws fewer normals per path
+            (car1(0.7), 16, 1.0, 40, False),
+        ],
+    )
+    def test_cholesky_route_bit_identical(self, model, n, step_h, n_paths, warns):
+        g = autocovariance(model, np.arange(n) * step_h).values
+        rng = np.random.default_rng(np.random.SeedSequence(8))
+        expect = (np.linalg.cholesky(toeplitz(g)) @ rng.standard_normal((n, n_paths))).T
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = exact_gaussian_paths(model, n, step_h, n_paths, seed=8)
+        assert any("not PSD" in str(w.message) for w in caught) == warns
+        assert np.array_equal(got, expect)
 
     def test_requires_stationary(self):
         with pytest.raises(DomainError):

@@ -105,6 +105,13 @@ class TestAliasedSpectrum:
         with pytest.raises(TailBoundTooLooseError):
             aliased_spectrum(car1(0.25), 1.0, 1.0, K=1, bracket_rtol=1e-6)
 
+    def test_loose_bracket_raises_by_both_routes(self):
+        # at h = 1000 the tail bracket is 93% of the value at omega = 0.5
+        with pytest.raises(TailBoundTooLooseError):
+            aliased_spectrum(car1(0.7), 0.5, 1000.0)
+        with pytest.raises(TailBoundTooLooseError):
+            spectrum_table(car1(0.7), [0.1, 0.5], kind="aliased", step_h=1000.0)
+
     def test_omega_range_enforced(self):
         with pytest.raises(DomainError):
             aliased_spectrum(car1(0.7), 4.0, 1.0)
