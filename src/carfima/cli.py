@@ -19,7 +19,7 @@ from .estimate import fit
 from .model import CarfimaModel, prepare, stationary_mean
 from .simulate import SamplePath, empirical_acf, exact_gaussian_paths, read_path_csv
 from .simulate import simulate_exact, simulate_state_euler
-from .spectrum import fourier_consistency_check, spectrum_table
+from .spectrum import DEFAULT_ALIAS_K, fourier_consistency_check, spectrum_table
 
 
 def _parse_lag_grid(spec: str) -> np.ndarray:
@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sp.add_argument("--omegas", default="0:3.141592653589793:129")
     p_sp.add_argument("--aliased", action="store_true")
     p_sp.add_argument("--h", type=float, default=1.0)
-    p_sp.add_argument("--K", type=int, default=64)
+    p_sp.add_argument("--K", type=int, default=DEFAULT_ALIAS_K)
     p_sp.set_defaults(func=_cmd_spectrum)
 
     p_sim = sub.add_parser("simulate", help="simulate a sampled path to CSV")
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--out", required=True)
     p_fit.add_argument("--p", type=int, required=True)
     p_fit.add_argument("--q", type=int, default=0)
-    p_fit.add_argument("--K", type=int, default=64)
+    p_fit.add_argument("--K", type=int, default=DEFAULT_ALIAS_K)
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--starts", type=int, default=8)
     p_fit.add_argument("--init", default=None)

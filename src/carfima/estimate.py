@@ -19,16 +19,14 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DomainError
-from .model import CarfimaModel, prepare
+from .model import (CarfimaModel, alpha_poly_coeffs, beta_poly_coeffs, is_stationary,
+                    prepare)
 from .simulate import SamplePath
-from .spectrum import DEFAULT_ALIAS_K, _front_constant
+from .spectrum import DEFAULT_ALIAS_K, _AliasSum
 
 H_MIN = 0.01
 H_MAX = 0.99
 H_GAP = 0.005  # half-width of the excluded band around H = 1/2
-# periodogram rows per pass of the alias sum: at K = 64 each temporary is
-# 256 x 129 float64 (~260 KB), small enough to stay in a per-core L2 cache
-_ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -97,90 +95,20 @@ def periodogram(path: SamplePath) -> Periodogram:
                        n=n, step_h=path.step_h)
 
 
-def _modsq_even_odd(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split real coefficients of P(z) so that |P(iw)|^2 = E(w^2)^2 + w^2 O(w^2)^2."""
-    d = len(coeffs) - 1
-    by_power = coeffs[::-1]  # coefficient of z^e at index e
-    even = by_power[0::2] * (-1.0) ** np.arange((d // 2) + 1)
-    odd = by_power[1::2] * (-1.0) ** np.arange(((d + 1) // 2))
-    return even[::-1], odd[::-1]  # highest power of w^2 first
-
-
-def _modsq_ratio(model: CarfimaModel, w2: np.ndarray) -> np.ndarray:
-    """|beta(iw)|^2/|alpha(iw)|^2 from w^2, without complex arithmetic."""
-    a_coeffs = np.array([1.0] + [-a for a in model.alpha[:0:-1]])
-    b_coeffs = np.array(list(reversed((1.0,) + model.beta)))
-    ae, ao = _modsq_even_odd(a_coeffs)
-    be, bo = _modsq_even_odd(b_coeffs)
-    num = np.polyval(be, w2) ** 2
-    if len(bo):
-        num = num + w2 * np.polyval(bo, w2) ** 2
-    den = np.polyval(ae, w2) ** 2
-    if len(ao):
-        den = den + w2 * np.polyval(ao, w2) ** 2
-    return num / den
-
-
-class _WhittleCache:
-    """Frequency grids shared by every objective evaluation of one fit."""
-
-    def __init__(self, pg: Periodogram, K: int):
-        self.pg = pg
-        self.K = K
-        h = pg.step_h
-        ks = np.arange(-K, K + 1)
-        W = (pg.omegas[:, None] + 2 * math.pi * ks[None, :]) / h
-        self.W2 = W * W
-        self.logW = 0.5 * np.log(self.W2)
-        w_min = (2 * math.pi * (K + 1) - math.pi) / h
-        self.tail_grid2 = np.geomspace(w_min, 1e4 * w_min, 64) ** 2
-        self.w_hi = (2 * math.pi * K - math.pi) / h
-        self.w_lo = (2 * math.pi * (K + 1) + math.pi) / h
-
-    def shape_spectrum(self, model: CarfimaModel) -> np.ndarray:
-        """Aliased spectrum at sigma = 1 on the periodogram grid.
-
-        The truncated alias sum runs over blocks of _ROW_BLOCK rows; every
-        element and every row sum is computed exactly as over the full grid.
-        """
-        H = model.H
-        c = _front_constant(model) / model.sigma**2
-        trunc = np.empty(len(self.W2))
-        for start in range(0, len(trunc), _ROW_BLOCK):
-            rows = slice(start, start + _ROW_BLOCK)
-            f = c * np.exp((1.0 - 2.0 * H) * self.logW[rows]) * _modsq_ratio(
-                model, self.W2[rows])
-            trunc[rows] = f.sum(axis=1)
-        trunc = trunc / self.pg.step_h
-        # tail midpoint from the power-law envelope beyond the truncation
-        nu = 1.0 - 2.0 * H - 2.0 * (model.p - model.q)
-        gr = _modsq_ratio(model, self.tail_grid2)
-        gr = gr * self.tail_grid2 ** (model.p - model.q)
-        lead = (model.beta[-1] if model.q >= 1 else 1.0) ** 2
-        r_hi = max(float(gr.max()), lead) * (1 + 1e-3)
-        r_lo = min(float(gr.min()), lead) * (1 - 1e-3)
-        tail_hi = 2 * c * r_hi / (2 * math.pi) * self.w_hi ** (nu + 1.0) / (-nu - 1.0)
-        tail_lo = 2 * c * r_lo / (2 * math.pi) * self.w_lo ** (nu + 1.0) / (-nu - 1.0)
-        return trunc + 0.5 * (tail_hi + tail_lo)
-
-
 def whittle_objective(pg: Periodogram, model: CarfimaModel,
                       K: int = DEFAULT_ALIAS_K) -> float:
     """sum_j [log f_h(w_j) + I(w_j)/f_h(w_j)] over the half grid."""
-    parts = prepare(model)
-    if not parts.stationary:
+    if not prepare(model).stationary:
         raise DomainError("whittle objective requires a stationary model")
-    cache = _WhittleCache(pg, K)
-    f = cache.shape_spectrum(model) * model.sigma**2
+    f, _, _ = _AliasSum(pg.omegas, pg.step_h, K)(model)
     return float(np.sum(np.log(f) + pg.values / f))
 
 
 def profile_sigma2(pg: Periodogram, model: CarfimaModel,
                    K: int = DEFAULT_ALIAS_K) -> float:
     """Closed-form minimizer of the objective over sigma^2 at fixed shape."""
-    cache = _WhittleCache(pg, K)
-    f_shape = cache.shape_spectrum(model)
-    return float(np.mean(pg.values / f_shape))
+    f, _, _ = _AliasSum(pg.omegas, pg.step_h, K)(model)
+    return model.sigma**2 * float(np.mean(pg.values / f))
 
 
 def h_to_logit(H: float, side: str) -> float:
@@ -236,7 +164,9 @@ def fit(
     if n_starts < 1:
         raise DomainError("n_starts must be >= 1")
     pg = periodogram(path)
-    cache = _WhittleCache(pg, K)
+    if not np.any(pg.values):
+        raise DomainError("cannot fit a constant path: its periodogram is zero")
+    alias = _AliasSum(pg.omegas, pg.step_h, K)
     m = len(pg.values)
     ivals = pg.values
 
@@ -253,10 +183,9 @@ def fit(
                                  H=H, sigma=1.0)
         except DomainError:
             return math.inf
-        parts = prepare(model)
-        if not parts.stationary:
+        if not is_stationary(np.roots(alpha_poly_coeffs(model))):
             return math.inf
-        f_shape = cache.shape_spectrum(model)
+        f_shape, _, _ = alias(model)
         if not np.all(np.isfinite(f_shape)) or np.any(f_shape <= 0):
             return math.inf
         s2 = float(np.mean(ivals / f_shape))
@@ -296,18 +225,16 @@ def fit(
     H_hat = logit_to_h(theta[-1], best_side)
     shape = CarfimaModel(p=p, q=q, alpha=(0.0, *theta[:p]), beta=tuple(theta[p : p + q]),
                          H=H_hat, sigma=1.0)
-    s2 = profile_sigma2(pg, shape, K)
+    s2 = float(np.mean(ivals / alias(shape)[0]))
     model_hat = CarfimaModel(p=p, q=q, alpha=shape.alpha, beta=shape.beta,
                              H=H_hat, sigma=math.sqrt(s2))
     parts = prepare(model_hat)
-    if q >= 1:
-        b_coeffs = np.array(list(reversed((1.0,) + model_hat.beta)))
-        if np.any(np.roots(b_coeffs).real >= 0):
-            warnings.warn(
-                "fitted MA polynomial has roots with nonnegative real parts "
-                "(invertibility-style condition violated)",
-                stacklevel=2,
-            )
+    if q >= 1 and np.any(np.roots(beta_poly_coeffs(model_hat)).real >= 0):
+        warnings.warn(
+            "fitted MA polynomial has roots with nonnegative real parts "
+            "(invertibility-style condition violated)",
+            stacklevel=2,
+        )
     return FitResult(
         model_hat=model_hat,
         objective_value=float(best_fun),

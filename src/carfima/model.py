@@ -161,22 +161,25 @@ def char_poly_eval(model: CarfimaModel, z: complex) -> tuple[complex, complex, c
     beta(z) = 1 + beta_1 z + ... + beta_q z^q, both by Horner recursion.
     """
     z = complex(z)
-    # alpha(z): coefficients highest power first are (1, -alpha_p, ..., -alpha_1)
-    a_coeffs = [1.0] + [-a for a in model.alpha[:0:-1]]
     alpha_val = 0j
     alpha_deriv = 0j
-    for c in a_coeffs:
+    for c in alpha_poly_coeffs(model):
         alpha_deriv = alpha_deriv * z + alpha_val
         alpha_val = alpha_val * z + c
     beta_val = 0j
-    for b in reversed((1.0,) + model.beta):
+    for b in beta_poly_coeffs(model):
         beta_val = beta_val * z + b
     return alpha_val, alpha_deriv, beta_val
 
 
-def alpha_poly_coeffs(model: CarfimaModel) -> np.ndarray:
-    """Coefficients of alpha(z), highest power first, for root finding."""
-    return np.array([1.0] + [-a for a in model.alpha[:0:-1]])
+def alpha_poly_coeffs(model: CarfimaModel) -> tuple[float, ...]:
+    """Coefficients (1, -alpha_p, ..., -alpha_1) of alpha(z), highest power first."""
+    return (1.0, *[-a for a in model.alpha[:0:-1]])
+
+
+def beta_poly_coeffs(model: CarfimaModel) -> tuple[float, ...]:
+    """Coefficients (beta_q, ..., beta_1, 1) of beta(z), highest power first."""
+    return (1.0, *model.beta)[::-1]
 
 
 def eigen_structure(sys: CompanionSystem, model: CarfimaModel) -> EigenStructure:
@@ -202,14 +205,10 @@ def eigen_structure(sys: CompanionSystem, model: CarfimaModel) -> EigenStructure
     return EigenStructure(lambdas=lambdas, residues=residues, distinct=distinct)
 
 
-def is_stationary(es: EigenStructure) -> bool:
+def is_stationary(lambdas: np.ndarray) -> bool:
     """True iff every companion eigenvalue has strictly negative real part."""
-    scale = 1.0 + float(np.max(np.abs(es.lambdas)))
-    return bool(np.max(es.lambdas.real) < -STATIONARITY_MARGIN_RTOL * scale)
-
-
-def model_is_stationary(model: CarfimaModel) -> bool:
-    return is_stationary(eigen_structure(build_companion(model), model))
+    scale = 1.0 + float(np.max(np.abs(lambdas)))
+    return bool(np.max(lambdas.real) < -STATIONARITY_MARGIN_RTOL * scale)
 
 
 def stationary_mean(model: CarfimaModel) -> float:
@@ -243,7 +242,7 @@ class ModelParts:
     stationary: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "stationary", is_stationary(self.es))
+        object.__setattr__(self, "stationary", is_stationary(self.es.lambdas))
 
 
 def prepare(model: CarfimaModel) -> ModelParts:

@@ -18,10 +18,14 @@ from scipy.special import gamma as gamma_fn
 
 from .acf import acf_carma, acf_closed_form
 from .errors import DomainError, QuadratureError, TailBoundTooLooseError
-from .model import CarfimaModel, ModelParts, prepare
+from .model import (CarfimaModel, ModelParts, alpha_poly_coeffs, beta_poly_coeffs,
+                    prepare)
 
 DEFAULT_ALIAS_K = 64
 DEFAULT_BRACKET_RTOL = 1e-2
+# alias-sum rows per pass: at K = 64 each temporary is 256 x 129 float64
+# (~260 KB), small enough to stay in a per-core L2 cache
+_ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -60,14 +64,30 @@ class SpectrumTable:
                 w.writerow([repr(float(om)), repr(float(val)), self.kind, h, k])
 
 
-def _poly_ratio_sq(model: CarfimaModel, w):
-    """|beta(i w)|^2 / |alpha(i w)|^2, vectorized over w."""
-    iw = 1j * np.asarray(w, dtype=float)
-    a_coeffs = np.array([1.0] + [-a for a in model.alpha[:0:-1]])
-    b_coeffs = np.array(list(reversed((1.0,) + model.beta)))
-    num = np.abs(np.polyval(b_coeffs, iw)) ** 2
-    den = np.abs(np.polyval(a_coeffs, iw)) ** 2
-    return num / den
+def _even_odd(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """Split real coefficients of P(z) so that |P(iw)|^2 = E(w^2)^2 + w^2 O(w^2)^2."""
+    d = len(coeffs) - 1
+    by_power = np.asarray(coeffs)[::-1]  # coefficient of z^e at index e
+    even = by_power[0::2] * (-1.0) ** np.arange((d // 2) + 1)
+    odd = by_power[1::2] * (-1.0) ** np.arange(((d + 1) // 2))
+    return even[::-1], odd[::-1]  # highest power of w^2 first
+
+
+def _ratio_sq(model: CarfimaModel):
+    """|beta(iw)|^2 / |alpha(iw)|^2 as a function of w^2, in real arithmetic.
+
+    The coefficients are split once per model, not once per call.
+    """
+    be, bo = _even_odd(beta_poly_coeffs(model))
+    ae, ao = _even_odd(alpha_poly_coeffs(model))
+
+    def ratio(w2):
+        num = np.polyval(be, w2) ** 2
+        if len(bo):
+            num = num + w2 * np.polyval(bo, w2) ** 2
+        return num / (np.polyval(ae, w2) ** 2 + w2 * np.polyval(ao, w2) ** 2)
+
+    return ratio
 
 
 def _front_constant(model: CarfimaModel) -> float:
@@ -87,21 +107,11 @@ def spectral_density(model: CarfimaModel, omega, parts: ModelParts | None = None
     if not parts.stationary:
         raise DomainError("spectral density requires a stationary model")
     w = np.asarray(omega, dtype=float)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    c = _front_constant(model)
-    out = np.empty_like(w)
-    nz = w != 0
-    out[nz] = c * np.abs(w[nz]) ** (1.0 - 2.0 * model.H) * _poly_ratio_sq(model, w[nz])
-    if np.any(~nz):
-        if model.H < 0.5:
-            at0 = 0.0
-        elif model.H == 0.5:
-            at0 = model.sigma**2 / (2 * math.pi * model.alpha[1] ** 2)
-        else:
-            at0 = math.inf
-        out[~nz] = at0
-    return float(out[0]) if scalar else out
+    # 0^{1-2H} gives the omega = 0 values: 0, the CARMA value, or inf
+    with np.errstate(divide="ignore"):
+        out = (_front_constant(model) * np.abs(w) ** (1.0 - 2.0 * model.H)
+               * _ratio_sq(model)(w * w))
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -117,46 +127,56 @@ class AliasedValue:
         return self.tail_hi - self.tail_lo
 
 
-def _tail_ratio_bounds(model: CarfimaModel, w_min: float) -> tuple[float, float]:
-    """Bounds on |beta/alpha|^2 * w^{2(p-q)} over w >= w_min."""
-    grid = np.geomspace(w_min, 1e4 * w_min, 256)
-    vals = _poly_ratio_sq(model, grid) * grid ** (2 * (model.p - model.q))
-    lead = (model.beta[-1] if model.q >= 1 else 1.0) ** 2
-    hi = max(float(np.max(vals)), lead) * (1 + 1e-3)
-    lo = min(float(np.min(vals)), lead) * (1 - 1e-3)
-    return lo, hi
+class _AliasSum:
+    """The alias sum of f_Y over a fixed (omega grid, h, K), for any model.
 
+    Holds the alias frequencies W = (omega + 2 pi k) / h, |k| <= K, as W^2
+    and log|W|, and the grid on which the tail bracket samples f_Y.
+    """
 
-def _aliased_core(model: CarfimaModel, omegas: np.ndarray, step_h: float, K: int):
-    """Truncated alias sum plus tail bracket, vectorized over omegas."""
-    if K < 1:
-        raise DomainError(f"K must be >= 1, got {K}")
-    if step_h <= 0:
-        raise DomainError(f"step_h must be positive, got {step_h}")
-    h = step_h
-    H = model.H
-    ks = np.arange(-K, K + 1)
-    W = (omegas[:, None] + 2 * math.pi * ks[None, :]) / h
-    c = _front_constant(model)
-    with np.errstate(divide="ignore"):
-        fvals = c * np.abs(W) ** (1.0 - 2.0 * H) * _poly_ratio_sq(model, W)
-    if H > 0.5:
-        fvals[W == 0] = math.inf
-    else:
-        fvals[W == 0] = 0.0 if H < 0.5 else model.sigma**2 / (2 * math.pi * model.alpha[1] ** 2)
-    trunc = fvals.sum(axis=1) / h
-    # remainder: |k| > K aliases lie beyond w_min; f_Y there is pinched
-    # between two power laws C * w^nu with nu = 1-2H-2(p-q) < -1
-    nu = 1.0 - 2.0 * H - 2.0 * (model.p - model.q)
-    w_min = (2 * math.pi * (K + 1) - math.pi) / h
-    r_lo, r_hi = _tail_ratio_bounds(model, w_min)
-    c_hi = c * r_hi
-    c_lo = c * r_lo
-    w_hi = (2 * math.pi * K - math.pi) / h  # integral bound from x = K
-    w_lo = (2 * math.pi * (K + 1) + math.pi) / h  # from x = K + 1
-    tail_hi = 2 * c_hi / (2 * math.pi) * w_hi ** (nu + 1.0) / (-nu - 1.0)
-    tail_lo = 2 * c_lo / (2 * math.pi) * w_lo ** (nu + 1.0) / (-nu - 1.0)
-    return trunc, tail_lo, tail_hi
+    def __init__(self, omegas: np.ndarray, step_h: float, K: int):
+        if K < 1:
+            raise DomainError(f"K must be >= 1, got {K}")
+        if step_h <= 0:
+            raise DomainError(f"step_h must be positive, got {step_h}")
+        self.step_h = step_h
+        ks = np.arange(-K, K + 1)
+        W = (omegas[:, None] + 2 * math.pi * ks[None, :]) / step_h
+        self.W2 = W * W
+        with np.errstate(divide="ignore"):
+            self.logW = 0.5 * np.log(self.W2)
+        w_min = (2 * math.pi * (K + 1) - math.pi) / step_h
+        self.tail_grid2 = np.geomspace(w_min, 1e4 * w_min, 256) ** 2
+        self.w_hi = (2 * math.pi * K - math.pi) / step_h  # integral bound from x = K
+        self.w_lo = (2 * math.pi * (K + 1) + math.pi) / step_h  # from x = K + 1
+
+    def __call__(self, model: CarfimaModel) -> tuple[np.ndarray, float, float]:
+        """Aliased density per omega, and the bracket (tail_lo, tail_hi) on its tail.
+
+        The density is the truncated sum plus the bracket's midpoint.  The
+        sum runs over blocks of _ROW_BLOCK rows; every element and every row
+        sum is computed exactly as over the full grid.
+        """
+        e = 1.0 - 2.0 * model.H
+        c = _front_constant(model)
+        ratio = _ratio_sq(model)
+        trunc = np.empty(len(self.W2))
+        for start in range(0, len(trunc), _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            # |W|^{1-2H}; at H = 1/2 it is 1 even where W = 0
+            power = np.exp(e * self.logW[rows]) if e else 1.0
+            trunc[rows] = (c * power * ratio(self.W2[rows])).sum(axis=1)
+        # remainder: |k| > K aliases lie beyond w_min; f_Y there is pinched
+        # between two power laws C * w^nu with nu = 1-2H-2(p-q) < -1
+        d = model.p - model.q
+        nu = e - 2.0 * d
+        vals = ratio(self.tail_grid2) * self.tail_grid2 ** d
+        lead = (model.beta[-1] if model.q >= 1 else 1.0) ** 2
+        r_hi = max(float(vals.max()), lead) * (1 + 1e-3)
+        r_lo = min(float(vals.min()), lead) * (1 - 1e-3)
+        tail_hi = 2 * c * r_hi / (2 * math.pi) * self.w_hi ** (nu + 1.0) / (-nu - 1.0)
+        tail_lo = 2 * c * r_lo / (2 * math.pi) * self.w_lo ** (nu + 1.0) / (-nu - 1.0)
+        return trunc / self.step_h + 0.5 * (tail_hi + tail_lo), tail_lo, tail_hi
 
 
 def aliased_spectrum_detail(
@@ -173,10 +193,9 @@ def aliased_spectrum_detail(
         raise DomainError("aliased spectrum requires a stationary model")
     if not -math.pi <= omega <= math.pi:
         raise DomainError(f"omega must lie in [-pi, pi], got {omega}")
-    trunc, tail_lo, tail_hi = _aliased_core(model, np.array([float(omega)]), step_h, K)
-    value = float(trunc[0]) + 0.5 * (tail_lo + tail_hi)
-    _check_bracket(np.array([value]), tail_hi - tail_lo, bracket_rtol)
-    return AliasedValue(value=value, tail_lo=tail_lo, tail_hi=tail_hi)
+    values, tail_lo, tail_hi = _AliasSum(np.array([float(omega)]), step_h, K)(model)
+    _check_bracket(values, tail_hi - tail_lo, bracket_rtol)
+    return AliasedValue(value=float(values[0]), tail_lo=tail_lo, tail_hi=tail_hi)
 
 
 def _check_bracket(values: np.ndarray, width: float, rtol: float) -> None:
@@ -219,8 +238,7 @@ def spectrum_table(
         raise DomainError(f"unknown spectrum kind {kind!r}")
     if step_h is None:
         raise DomainError("aliased spectra need step_h")
-    trunc, tail_lo, tail_hi = _aliased_core(model, omegas, step_h, K)
-    values = trunc + 0.5 * (tail_lo + tail_hi)
+    values, tail_lo, tail_hi = _AliasSum(omegas, step_h, K)(model)
     _check_bracket(values, tail_hi - tail_lo, DEFAULT_BRACKET_RTOL)
     return SpectrumTable(omegas=omegas, values=values, kind=kind, step_h=step_h,
                          truncation_K=K)
@@ -247,17 +265,19 @@ def fourier_consistency_check(
     kappa = 1.0 / (2.0 - 2.0 * H)
     split = 1.0
 
+    ratio = _ratio_sq(model)
+
     def gamma_hat(h: float) -> float:
         def low(v):
             w = v**kappa
-            return _poly_ratio_sq(model, w) * math.cos(w * h)
+            return ratio(w * w) * math.cos(w * h)
 
         i_low, e_low = quad(low, 0.0, split ** (1.0 / kappa), epsabs=1e-13,
                             epsrel=1e-11, limit=400)
         i_low *= c * kappa
 
         def high(w):
-            return c * w ** (1.0 - 2.0 * H) * _poly_ratio_sq(model, w)
+            return c * w ** (1.0 - 2.0 * H) * ratio(w * w)
 
         if h > 0:
             i_high, e_high = quad(high, split, np.inf, weight="cos", wvar=h,

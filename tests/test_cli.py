@@ -4,7 +4,8 @@ import math
 import pytest
 
 from carfima import read_path_csv
-from carfima.cli import main
+from carfima.cli import build_parser, main
+from carfima.spectrum import DEFAULT_ALIAS_K
 
 from conftest import car1, model_from_eigenvalues
 
@@ -122,6 +123,22 @@ class TestSimulateAndFit:
         rc = main(["fit", "--path", str(tmp_path / "none.csv"),
                    "--out", str(tmp_path / "f.json"), "--p", "1"])
         assert rc == 1
+
+    def test_fit_constant_path_is_validation_error(self, tmp_path, capsys):
+        path_csv = tmp_path / "flat.csv"
+        path_csv.write_text("t,y\n" + "".join(f"{k},2.5\n" for k in range(64)))
+        rc = main(["fit", "--path", str(path_csv), "--out", str(tmp_path / "f.json"),
+                   "--p", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_alias_truncation_defaults_to_library_default(self):
+        parser = build_parser()
+        for argv in (["spectrum", "--model", "m.json", "--out", "s.csv"],
+                     ["fit", "--path", "p.csv", "--out", "f.json", "--p", "1"]):
+            assert parser.parse_args(argv).K == DEFAULT_ALIAS_K
 
 
 class TestVerifyCommand:

@@ -10,6 +10,7 @@ from carfima import (
     CarfimaModel,
     DomainError,
     SamplePath,
+    aliased_spectrum_detail,
     exact_gaussian_paths,
     fit,
     periodogram,
@@ -17,9 +18,9 @@ from carfima import (
     simulate_exact,
     whittle_objective,
 )
-from carfima.estimate import _ROW_BLOCK, _WhittleCache, h_to_logit, logit_to_h
+from carfima.estimate import h_to_logit, logit_to_h
 
-from conftest import car1
+from conftest import car1, model_from_eigenvalues
 
 
 def _path(values, h=1.0):
@@ -121,6 +122,17 @@ class TestWhittleObjective:
         with pytest.raises(DomainError):
             whittle_objective(pg, car1(0.7, a1=0.4))
 
+    def test_matches_objective_from_printed_aliased_spectrum(self):
+        # a resonance at 50 rad/s lies inside the tail bracket's grid at K = 2,
+        # so the bracket depends on where that grid samples the ratio
+        m = model_from_eigenvalues([-1 + 50j, -1 - 50j, -2.0], H=0.3)
+        pg = periodogram(_path(np.random.default_rng(0).standard_normal(256)))
+        f = np.array([aliased_spectrum_detail(m, float(w), 1.0, K=2,
+                                              bracket_rtol=math.inf).value
+                      for w in pg.omegas])
+        expected = float(np.sum(np.log(f) + pg.values / f))
+        assert whittle_objective(pg, m, K=2) == pytest.approx(expected, rel=1e-12)
+
 
 class TestLogisticMap:
     def test_round_trip(self):
@@ -194,23 +206,6 @@ class TestFit:
         with pytest.raises(DomainError):
             fit(path, 1, 1)
 
-    def test_cache_consistent_with_pointwise_spectrum(self):
-        from carfima import aliased_spectrum
-
-        m = CarfimaModel(p=2, q=1, alpha=(0.0, -2.0, -3.0), beta=(0.5,),
-                         H=0.3, sigma=1.2)
-        # n = 2048 has 1023 Fourier frequencies, so the alias sum spans
-        # several row blocks; check both sides of every block boundary
-        for n in (256, 2048):
-            path = simulate_exact(car1(0.5), n, 0.5, seed=0)
-            pg = periodogram(path)
-            cache = _WhittleCache(pg, 32)
-            f = cache.shape_spectrum(m) * m.sigma**2
-            m_rows = len(pg.omegas)
-            idxs = {0, 40, 100, m_rows - 1}
-            for b in range(_ROW_BLOCK, m_rows, _ROW_BLOCK):
-                idxs |= {b - 1, b}
-            for idx in sorted(idxs):
-                w = float(pg.omegas[idx])
-                assert f[idx] == pytest.approx(
-                    aliased_spectrum(m, w, 0.5, K=32), rel=1e-12)
+    def test_constant_path_rejected(self):
+        with pytest.raises(DomainError, match="constant"):
+            fit(_path(np.ones(64)), 1, 0)

@@ -8,7 +8,6 @@ from scipy.linalg import expm
 from carfima import (
     CarfimaModel,
     DomainError,
-    EigenStructure,
     build_companion,
     char_poly_eval,
     eigen_structure,
@@ -105,12 +104,10 @@ class TestEigenStructure:
 
 class TestStationarity:
     def test_simple_cases(self):
-        mk = lambda lams: EigenStructure(lambdas=np.array(lams, dtype=complex),
-                                         residues=np.ones(len(lams), dtype=complex),
-                                         distinct=True)
-        assert is_stationary(mk([-1.0]))
-        assert not is_stationary(mk([-1.0, 0.001]))
-        assert is_stationary(mk([-0.5 + 2j, -0.5 - 2j]))
+        # the roots of alpha(z), as ModelParts passes them
+        assert is_stationary(np.array([-1.0]))
+        assert not is_stationary(np.array([-1.0, 0.001]))
+        assert is_stationary(np.array([-0.5 + 2j, -0.5 - 2j]))
 
     def test_stationary_mean(self):
         assert stationary_mean(car1(0.5, a0=0.0)) == 0.0

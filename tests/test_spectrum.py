@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from carfima import (
@@ -15,7 +17,7 @@ from carfima import (
     spectral_density,
     spectrum_table,
 )
-from carfima.spectrum import SpectrumTable
+from carfima.spectrum import DEFAULT_BRACKET_RTOL, SpectrumTable
 
 from conftest import car1, model_from_eigenvalues, random_stable_model
 
@@ -160,6 +162,32 @@ class TestSpectrumTable:
         cells = rows[1].split(",")
         assert float(cells[0]) == t.omegas[0]
         assert float(cells[1]) == t.values[0]
+
+    def test_aliased_table_matches_pointwise_across_row_blocks(self):
+        # 1100 frequencies span several passes of the alias sum; checking
+        # every row covers both sides of each block boundary
+        m = model_from_eigenvalues([-1.0, -2.0], q=1, beta=(0.5,), H=0.3, sigma=1.2)
+        omegas = np.linspace(-math.pi, math.pi, 1100)
+        t = spectrum_table(m, omegas, kind="aliased", step_h=0.5, K=32)
+        point = [aliased_spectrum(m, float(w), 0.5, K=32) for w in omegas]
+        assert t.values == pytest.approx(point, rel=1e-12)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), step_h=st.sampled_from([0.1, 0.5, 1.0, 4.0]))
+    def test_aliased_table_and_pointwise_routes_agree(self, seed, step_h):
+        # same values, and the same bracket policy: the table raises exactly
+        # when some frequency's bracket is loose
+        m = random_stable_model(np.random.default_rng(seed))
+        omegas = np.linspace(-math.pi, math.pi, 9)
+        details = [aliased_spectrum_detail(m, float(w), step_h, bracket_rtol=math.inf)
+                   for w in omegas]
+        if any(math.isfinite(d.value) and d.bracket_width > DEFAULT_BRACKET_RTOL * d.value
+               for d in details):
+            with pytest.raises(TailBoundTooLooseError):
+                spectrum_table(m, omegas, kind="aliased", step_h=step_h)
+        else:
+            t = spectrum_table(m, omegas, kind="aliased", step_h=step_h)
+            assert t.values == pytest.approx([d.value for d in details], rel=1e-12)
 
     def test_negative_values_rejected(self):
         with pytest.raises(DomainError):
