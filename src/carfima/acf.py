@@ -7,6 +7,11 @@
 * the exact matrix expression at H = 1/2, where the process degenerates
   to a CARMA process.
 
+Each route takes a scalar lag or an array of lags and returns a float or
+an array to match.  The parts that depend on the model alone (V*, the
+eigen weights, the decay horizon and the Gamma(2H+1) prefactor) are
+computed once per call, not once per lag.
+
 Also provides the stationary state covariance (Lyapunov solve), the
 power-law tail asymptote and cov(Y_0, B^H_t).
 """
@@ -16,11 +21,11 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_continuous_lyapunov
 from scipy.special import gamma as gamma_fn
 
 from .errors import (
@@ -100,18 +105,16 @@ class AcfTable:
 
 
 def vstar(sys, model: CarfimaModel) -> StationaryStateCov:
-    """Solve A V* + V* A' = -sigma^2 delta_p delta_p' by a Kronecker solve."""
-    p = model.p
+    """Solve A V* + V* A' = -sigma^2 delta_p delta_p' by Bartels-Stewart."""
     A = sys.A
-    rhs = -(model.sigma**2) * np.outer(sys.delta_p, sys.delta_p)
-    K = np.kron(np.eye(p), A) + np.kron(A, np.eye(p))
-    try:
-        v = np.linalg.solve(K, rhs.flatten(order="F"))
-    except np.linalg.LinAlgError as exc:
-        raise SingularLyapunovError(str(exc)) from exc
-    V = v.reshape((p, p), order="F")
+    Q = (model.sigma**2) * np.outer(sys.delta_p, sys.delta_p)
+    with warnings.catch_warnings():
+        # when lambda_i + lambda_j = 0 scipy perturbs the system and warns;
+        # the residual check below is what rejects such a solution
+        warnings.filterwarnings("ignore", 'Input "a" has an eigenvalue pair')
+        V = solve_continuous_lyapunov(A, -Q)
     V = 0.5 * (V + V.T)
-    resid = np.max(np.abs(A @ V + V @ A.T + (model.sigma**2) * np.outer(sys.delta_p, sys.delta_p)))
+    resid = np.max(np.abs(A @ V + V @ A.T + Q))
     if not np.isfinite(resid) or resid > LYAPUNOV_RESIDUAL_RTOL * model.sigma**2:
         raise SingularLyapunovError(
             f"Lyapunov residual {resid:.3e} exceeds {LYAPUNOV_RESIDUAL_RTOL:.0e}*sigma^2"
@@ -181,15 +184,29 @@ def _require_stationary(parts: ModelParts):
         raise DomainError("operation requires a stationary model")
 
 
-def acf_integral_form(model: CarfimaModel, h: float, parts: ModelParts | None = None) -> float:
-    """Autocovariance at lag h from the three-integral matrix form.
+def _lag_array(h) -> np.ndarray:
+    """The lags as a float array, refused unless every one is >= 0."""
+    h = np.asarray(h, dtype=float)
+    if not np.all(h >= 0):
+        raise DomainError(f"h must be >= 0, got {h[~(h >= 0)][0]}")
+    return h
+
+
+def _like_lags(values, h: np.ndarray):
+    """A float for a 0-d lag, otherwise an array of the lags' shape."""
+    out = np.asarray(values, dtype=float).reshape(h.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def acf_integral_form(model: CarfimaModel, h, parts: ModelParts | None = None):
+    """Autocovariance at lag(s) h from the three-integral matrix form.
 
     Works for any 0 < H < 1 and does not need distinct eigenvalues; each
     integral is evaluated with the matrix exponential folded in so the
-    integrands stay bounded.
+    integrands stay bounded.  V* and the decay horizon are computed once
+    per call.
     """
-    if h < 0:
-        raise DomainError(f"h must be >= 0, got {h}")
+    h = _lag_array(h)
     parts = parts or prepare(model)
     _require_stationary(parts)
     H = model.H
@@ -203,13 +220,16 @@ def acf_integral_form(model: CarfimaModel, h: float, parts: ModelParts | None = 
 
     scale = abs(float(parts.sys.beta_vec @ V @ parts.sys.beta_vec))
     U = _decay_horizon(A, rtol=1e-15, weight_exp=max(2 * H - 1, 0.0))
-    i1 = _int_power_weight(lambda u: phi(h - u), h, H, scale)
-    if h > 0:
-        i2 = _checked_quad(lambda w: phi(w) * (w + h) ** (2 * H - 1), 0.0, U, scale)
-    else:
-        i2 = _int_power_weight(phi, U, H, scale)
-    i3 = _int_power_weight(lambda u: phi(u + h), U, H, scale)
-    return H * (i1 - i2 - i3)
+
+    def at(x):
+        i1 = _int_power_weight(lambda u: phi(x - u), x, H, scale)
+        i3 = _int_power_weight(lambda u: phi(u + x), U, H, scale)
+        if x == 0:  # the second integral is then the third
+            return H * (i1 - i3 - i3)
+        i2 = _checked_quad(lambda w: phi(w) * (w + x) ** (2 * H - 1), 0.0, U, scale)
+        return H * (i1 - i2 - i3)
+
+    return _like_lags([at(x) for x in h.flat], h)
 
 
 def _eigen_coeffs(model: CarfimaModel, es) -> np.ndarray:
@@ -222,15 +242,15 @@ def _eigen_coeffs(model: CarfimaModel, es) -> np.ndarray:
     return out
 
 
-def acf_closed_form(model: CarfimaModel, h: float, parts: ModelParts | None = None) -> float:
-    """Autocovariance at lag h from the closed eigen-expansion.
+def acf_closed_form(model: CarfimaModel, h, parts: ModelParts | None = None):
+    """Autocovariance at lag(s) h from the closed eigen-expansion.
 
     Requires distinct eigenvalues; the conjugate-pair structure makes the
     complex sum real, and a residual imaginary part above
-    1e-8 (|value| + sigma^2) is treated as a branch-selection bug.
+    1e-8 (|value| + sigma^2) is treated as a branch-selection bug.  The
+    eigen weights and the Gamma(2H+1) prefactor are computed once per call.
     """
-    if h < 0:
-        raise DomainError(f"h must be >= 0, got {h}")
+    h = _lag_array(h)
     parts = parts or prepare(model)
     _require_stationary(parts)
     if not parts.es.distinct:
@@ -239,43 +259,50 @@ def acf_closed_form(model: CarfimaModel, h: float, parts: ModelParts | None = No
         )
     H = model.H
     coeffs = _eigen_coeffs(model, parts.es)
-    total = 0j
-    for lam, c in zip(parts.es.lambdas, coeffs):
-        total += c * u_kernel(H, lam, h)
-    total *= 0.5 * model.sigma**2 * gamma_fn(2 * H + 1)
-    if abs(total.imag) > 1e-8 * (abs(total) + model.sigma**2):
+    kernels = [[u_kernel(H, lam, x) for lam in parts.es.lambdas] for x in h.flat]
+    # per-lag sums in scalar complex arithmetic, so an array call rounds as scalar calls do
+    total = np.array([sum(c * k for c, k in zip(coeffs, row)) for row in kernels],
+                     dtype=complex) * (0.5 * model.sigma**2 * gamma_fn(2 * H + 1))
+    bad = np.abs(total.imag) > 1e-8 * (np.abs(total) + model.sigma**2)
+    if np.any(bad):
+        i = int(np.argmax(bad))
         raise CarfimaError(
-            f"eigen-expansion returned imaginary residue {total.imag:.3e} at h={h}"
+            f"eigen-expansion returned imaginary residue {total[i].imag:.3e} "
+            f"at h={h.flat[i]}"
         )
-    return float(total.real)
+    return _like_lags(total.real, h)
 
 
-def acf_carma(model: CarfimaModel, h: float, parts: ModelParts | None = None) -> float:
-    """Autocovariance at lag h for the H = 1/2 (CARMA) case.
+def acf_carma(model: CarfimaModel, h, parts: ModelParts | None = None):
+    """Autocovariance at lag(s) h for the H = 1/2 (CARMA) case.
 
-    Both the matrix form beta' e^{Ah} V* beta and, when the eigenvalues are
-    distinct, the eigen-sum are computed; they must agree to 1e-9 relative.
+    Both the matrix form beta' e^{Ah} V* beta (one stacked matrix
+    exponential over the lags) and, when the eigenvalues are distinct, the
+    eigen-sum are computed; they must agree to 1e-9 relative at every lag.
     The matrix form is returned.
     """
-    if h < 0:
-        raise DomainError(f"h must be >= 0, got {h}")
+    h = _lag_array(h)
     if model.H != 0.5:
         raise DomainError("acf_carma requires H = 1/2 exactly")
     parts = parts or prepare(model)
     _require_stationary(parts)
     V = vstar(parts.sys, model).Vstar
     b = parts.sys.beta_vec
-    mat_form = float(b @ expm(parts.sys.A * h) @ V @ b)
+    hs = h.reshape(-1)
+    mat_form = b @ expm(parts.sys.A[None] * hs[:, None, None]) @ V @ b
     if parts.es.distinct:
         coeffs = _eigen_coeffs(model, parts.es)
-        eig_form = model.sigma**2 * np.sum(coeffs * np.exp(parts.es.lambdas * h))
-        scale = max(abs(mat_form), abs(eig_form), 1e-12 * float(b @ V @ b))
-        if abs(mat_form - eig_form) > 1e-9 * scale:
+        eig_form = model.sigma**2 * np.sum(
+            coeffs * np.exp(parts.es.lambdas * hs[:, None]), axis=1)
+        scale = np.maximum(np.abs(mat_form), np.abs(eig_form))
+        bad = np.abs(mat_form - eig_form) > 1e-9 * scale.clip(1e-12 * float(b @ V @ b))
+        if np.any(bad):
+            i = int(np.argmax(bad))
             raise CarfimaError(
-                f"CARMA matrix and eigen forms disagree at h={h}: "
-                f"{mat_form!r} vs {eig_form!r}"
+                f"CARMA matrix and eigen forms disagree at h={hs[i]}: "
+                f"{mat_form[i]!r} vs {eig_form[i]!r}"
             )
-    return mat_form
+    return _like_lags(mat_form, h)
 
 
 def acf_tail_asymptote(model: CarfimaModel, h: float) -> float:
@@ -329,7 +356,6 @@ def autocovariance(
     eigenvalues, and quadrature otherwise.
     """
     parts = parts or prepare(model)
-    _require_stationary(parts)
     lags = np.atleast_1d(np.asarray(lags, dtype=float))
     if method == "auto":
         if abs(model.H - 0.5) < CARMA_DISPATCH_BAND:
@@ -339,8 +365,7 @@ def autocovariance(
                     "(the fractional kernel loses precision there)",
                     stacklevel=2,
                 )
-                model = CarfimaModel(p=model.p, q=model.q, alpha=model.alpha,
-                                     beta=model.beta, H=0.5, sigma=model.sigma)
+                model = replace(model, H=0.5)
                 parts = prepare(model)
             method = "carma_exact"
         elif parts.es.distinct:
@@ -348,13 +373,9 @@ def autocovariance(
         else:
             warnings.warn("repeated eigenvalues: falling back to quadrature", stacklevel=2)
             method = "quadrature"
-    if method == "closed_form":
-        values = [acf_closed_form(model, h, parts) for h in lags]
-    elif method == "quadrature":
-        values = [acf_integral_form(model, h, parts) for h in lags]
-    elif method == "carma_exact":
-        values = [acf_carma(model, h, parts) for h in lags]
-    else:
+    routes = {"closed_form": acf_closed_form, "quadrature": acf_integral_form,
+              "carma_exact": acf_carma}
+    if method not in routes:
         raise DomainError(f"unknown acf method {method!r}")
-    return AcfTable(lags=lags, values=np.array(values), method=method,
+    return AcfTable(lags=lags, values=routes[method](model, lags, parts), method=method,
                     model_hash=model.model_hash())

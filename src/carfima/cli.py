@@ -112,25 +112,18 @@ def _cmd_verify(args) -> int:
         + model.sigma**2 * np.outer(parts.sys.delta_p, parts.sys.delta_p))))
     checks.append(("lyapunov_residual", resid, 1e-8 * model.sigma**2))
 
-    if model.H == 0.5:
+    if model.H == 0.5 or parts.es.distinct:
         # acf_carma cross-checks the matrix and eigen forms internally
-        devs = []
-        for h in lags:
-            mat = acf_carma(model, float(h), parts)
-            quadv = acf_integral_form(model, float(h), parts)
-            devs.append(abs(mat - quadv) / max(abs(mat), 1e-10))
-        checks.append(("carma_vs_quadrature", max(devs), args.tol))
-    elif parts.es.distinct:
-        devs = []
-        for h in lags:
-            c = acf_closed_form(model, float(h), parts)
-            q = acf_integral_form(model, float(h), parts)
-            devs.append(abs(c - q) / max(abs(c), 1e-10))
-        checks.append(("closed_vs_quadrature", max(devs), args.tol))
+        name, route = (("carma_vs_quadrature", acf_carma) if model.H == 0.5
+                       else ("closed_vs_quadrature", acf_closed_form))
+        ref = route(model, lags, parts)
+        quadv = acf_integral_form(model, lags, parts)
+        devs = np.abs(ref - quadv) / np.maximum(np.abs(ref), 1e-10)
+        checks.append((name, devs.max(), args.tol))
     else:
         print("note: repeated eigenvalues, closed-form route not checked")
 
-    rep = fourier_consistency_check(model, [float(h) for h in lags[:4]])
+    rep = fourier_consistency_check(model, lags[:4])
     checks.append(("fourier_vs_acf", rep["max_rel_dev"], rep["tolerance"]))
 
     paths = exact_gaussian_paths(model, args.mc_n, 1.0, args.mc_paths,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,8 @@ class CarfimaModel:
     alpha holds (alpha_0, ..., alpha_p): the drift constant followed by the
     autoregressive coefficients.  beta holds (beta_1, ..., beta_q) and is
     empty for q = 0.  Requires finite parameters, sigma > 0, alpha_1 != 0,
-    beta_q != 0 when q >= 1, 0 < H < 1 and 0 <= q < p.
+    beta_q != 0 when q >= 1, 0 < H < 1 and 0 <= q < p; a parameter that is
+    not a number (or a p or q that is not an integer) raises DomainError.
     """
 
     p: int
@@ -45,8 +47,15 @@ class CarfimaModel:
     sigma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-        object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
+        try:
+            fields = {"p": operator.index(self.p), "q": operator.index(self.q),
+                      "alpha": tuple(float(a) for a in self.alpha),
+                      "beta": tuple(float(b) for b in self.beta),
+                      "H": float(self.H), "sigma": float(self.sigma)}
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"model parameters must be numbers: {exc}") from exc
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
         if not all(math.isfinite(v) for v in (*self.alpha, *self.beta, self.H, self.sigma)):
             raise DomainError("alpha, beta, H and sigma must be finite")
         if self.p < 1:
@@ -83,14 +92,7 @@ class CarfimaModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CarfimaModel":
-        return cls(
-            p=int(d["p"]),
-            q=int(d["q"]),
-            alpha=tuple(d["alpha"]),
-            beta=tuple(d["beta"]),
-            H=float(d["H"]),
-            sigma=float(d["sigma"]),
-        )
+        return cls(**{k: d[k] for k in ("p", "q", "alpha", "beta", "H", "sigma")})
 
     @classmethod
     def from_json(cls, s: str) -> "CarfimaModel":

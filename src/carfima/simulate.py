@@ -103,9 +103,6 @@ def exact_gaussian_paths(
     """
     if n < 1 or n_paths < 1:
         raise DomainError("n and n_paths must be >= 1")
-    parts = parts or prepare(model)
-    if not parts.stationary:
-        raise DomainError("exact simulation requires a stationary model")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         table = autocovariance(model, np.arange(n) * step_h, method="auto", parts=parts)

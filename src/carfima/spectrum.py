@@ -19,7 +19,7 @@ from scipy.special import gamma as gamma_fn
 from .acf import acf_carma, acf_closed_form
 from .errors import DomainError, QuadratureError, TailBoundTooLooseError
 from .model import (CarfimaModel, ModelParts, alpha_poly_coeffs, beta_poly_coeffs,
-                    prepare)
+                    is_stationary, prepare)
 
 DEFAULT_ALIAS_K = 64
 DEFAULT_BRACKET_RTOL = 1e-2
@@ -153,10 +153,13 @@ class _AliasSum:
     def __call__(self, model: CarfimaModel) -> tuple[np.ndarray, float, float]:
         """Aliased density per omega, and the bracket (tail_lo, tail_hi) on its tail.
 
-        The density is the truncated sum plus the bracket's midpoint.  The
-        sum runs over blocks of _ROW_BLOCK rows; every element and every row
-        sum is computed exactly as over the full grid.
+        Every alias-sum caller passes this stationarity gate.  The density is
+        the truncated sum plus the bracket's midpoint.  The sum runs over
+        blocks of _ROW_BLOCK rows; every element and every row sum is
+        computed exactly as over the full grid.
         """
+        if not is_stationary(np.roots(alpha_poly_coeffs(model))):
+            raise DomainError("aliased spectrum requires a stationary model")
         e = 1.0 - 2.0 * model.H
         c = _front_constant(model)
         ratio = _ratio_sq(model)
@@ -185,12 +188,8 @@ def aliased_spectrum_detail(
     step_h: float,
     K: int = DEFAULT_ALIAS_K,
     bracket_rtol: float = DEFAULT_BRACKET_RTOL,
-    parts: ModelParts | None = None,
 ) -> AliasedValue:
     """Aliased density at one frequency with the tail bracket exposed."""
-    parts = parts or prepare(model)
-    if not parts.stationary:
-        raise DomainError("aliased spectrum requires a stationary model")
     if not -math.pi <= omega <= math.pi:
         raise DomainError(f"omega must lie in [-pi, pi], got {omega}")
     values, tail_lo, tail_hi = _AliasSum(np.array([float(omega)]), step_h, K)(model)
@@ -214,10 +213,9 @@ def aliased_spectrum(
     step_h: float,
     K: int = DEFAULT_ALIAS_K,
     bracket_rtol: float = DEFAULT_BRACKET_RTOL,
-    parts: ModelParts | None = None,
 ) -> float:
     """Spectral density of the h-sampled process at omega in [-pi, pi]."""
-    return aliased_spectrum_detail(model, omega, step_h, K, bracket_rtol, parts).value
+    return aliased_spectrum_detail(model, omega, step_h, K, bracket_rtol).value
 
 
 def spectrum_table(
@@ -229,7 +227,6 @@ def spectrum_table(
     parts: ModelParts | None = None,
 ) -> SpectrumTable:
     """Tabulate f_Y or the aliased f_h on a frequency grid."""
-    parts = parts or prepare(model)
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     if kind == "continuous":
         values = spectral_density(model, omegas, parts)
@@ -257,9 +254,6 @@ def fourier_consistency_check(
     absorbs the |w|^{1-2H} factor exactly), the tail piece goes to QUADPACK's
     Fourier integrator.  Returns a report with the max relative deviation.
     """
-    parts = parts or prepare(model)
-    if not parts.stationary:
-        raise DomainError("fourier consistency requires a stationary model")
     H = model.H
     c = _front_constant(model)
     kappa = 1.0 / (2.0 - 2.0 * H)
@@ -292,10 +286,8 @@ def fourier_consistency_check(
         return 2.0 * (i_low + i_high)
 
     lags = [float(h) for h in lag_grid]
-    if model.H == 0.5:
-        reference = [acf_carma(model, h, parts) for h in lags]
-    else:
-        reference = [acf_closed_form(model, h, parts) for h in lags]
+    route = acf_carma if model.H == 0.5 else acf_closed_form
+    reference = route(model, np.array(lags), parts).tolist()
     transformed = [gamma_hat(h) for h in lags]
     scale = max(abs(g) for g in reference)
     devs = [abs(a - b) / max(abs(b), 1e-6 * scale) for a, b in zip(transformed, reference)]

@@ -1,7 +1,11 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm, toeplitz
 from scipy.special import gamma as gamma_fn
 
@@ -21,6 +25,7 @@ from carfima import (
     vstar,
     vstar_integral,
 )
+import carfima.acf
 from carfima.acf import AcfTable
 from carfima.fgn import simulate_fgn
 
@@ -62,6 +67,66 @@ class TestVstar:
         parts = prepare(m)
         with pytest.raises(SingularLyapunovError):
             vstar(parts.sys, m)
+
+
+    def test_singular_lyapunov_warning_stays_inside(self):
+        # scipy warns about the perturbed system; the residual check is the guard
+        m = CarfimaModel(p=2, q=0, alpha=(0.0, 1.0, 0.0), beta=(), H=0.5, sigma=1.0)
+        parts = prepare(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularLyapunovError):
+                vstar(parts.sys, m)
+
+
+class TestLagArrays:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1),
+           ks=st.lists(st.integers(0, 400), min_size=1, max_size=4, unique=True),
+           neg_at=st.integers(0, 3))
+    def test_array_call_matches_scalar_calls(self, seed, ks, neg_at):
+        m = random_stable_model(np.random.default_rng(seed))
+        m_half = dataclasses.replace(m, H=0.5)
+        hs = np.sort(ks) / 20.0  # lags on [0, 20]
+        cases = ((acf_closed_form, m, 0.0), (acf_integral_form, m, 0.0),
+                 (acf_carma, m_half, 1e-14))
+        for route, model, rel in cases:
+            parts = prepare(model)
+            got = route(model, hs, parts)
+            assert isinstance(got, np.ndarray) and got.shape == hs.shape
+            scalar = np.array([route(model, float(h), parts) for h in hs])
+            if rel:
+                assert np.all(np.abs(got - scalar) <= rel * np.abs(scalar))
+            else:
+                assert np.array_equal(got, scalar)
+            zero_d = route(model, np.array(hs[0]), parts)
+            assert type(zero_d) is float and zero_d == got[0]
+            bad = np.insert(hs, min(neg_at, len(hs)), -0.25)
+            with pytest.raises(DomainError):
+                route(model, bad, parts)
+
+    def test_carma_cross_check_bites(self, monkeypatch):
+        m = model_from_eigenvalues([-1.0, -2.0], q=1, beta=(0.5,), H=0.5)
+        lags = np.linspace(0.0, 5.0, 11)
+        acf_carma(m, lags)
+        exact = carfima.acf._eigen_coeffs
+        monkeypatch.setattr(carfima.acf, "_eigen_coeffs",
+                            lambda model, es: exact(model, es) * (1 + 1e-6))
+        with pytest.raises(CarfimaError):
+            acf_carma(m, lags)
+
+    def test_autocovariance_resolves_route_at_call_time(self, monkeypatch):
+        calls = []
+        route = carfima.acf.acf_closed_form
+
+        def spy(model, lags, parts=None):
+            calls.append(len(lags))
+            return route(model, lags, parts)
+
+        monkeypatch.setattr(carfima.acf, "acf_closed_form", spy)
+        table = autocovariance(car1(0.7), np.arange(5.0))
+        assert calls == [5]
+        assert table.values.tolist() == [route(car1(0.7), float(h)) for h in range(5)]
 
 
 class TestClosedForm:

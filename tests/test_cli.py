@@ -55,6 +55,15 @@ class TestAcfCommand:
         rc = main(["acf", "--model", str(bad), "--out", str(tmp_path / "x.csv")])
         assert rc == 1
 
+    def test_non_numeric_model_entry_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**car1(0.7).to_dict(), "alpha": [0.0, "x"]}))
+        rc = main(["acf", "--model", str(bad), "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_bad_grid_is_validation_error(self, ou_file, tmp_path):
         rc = main(["acf", "--model", ou_file, "--out", str(tmp_path / "x.csv"),
                    "--lags", "5:0:1"])

@@ -9,6 +9,7 @@ from scipy.optimize import minimize_scalar
 from carfima import (
     CarfimaModel,
     DomainError,
+    Periodogram,
     SamplePath,
     aliased_spectrum_detail,
     exact_gaussian_paths,
@@ -121,6 +122,12 @@ class TestWhittleObjective:
         pg = periodogram(_path(np.random.default_rng(1).standard_normal(256)))
         with pytest.raises(DomainError):
             whittle_objective(pg, car1(0.7, a1=0.4))
+
+    def test_profile_sigma2_rejects_nonstationary(self):
+        # root +0.5: the alias sum's stationarity gate refuses it
+        pg = Periodogram(omegas=np.array([0.5]), values=np.array([1.0]), n=3, step_h=1.0)
+        with pytest.raises(DomainError):
+            profile_sigma2(pg, car1(0.5, a1=0.5))
 
     def test_matches_objective_from_printed_aliased_spectrum(self):
         # a resonance at 50 rad/s lies inside the tail bracket's grid at K = 2,

@@ -215,6 +215,19 @@ class TestModelValidation:
         with pytest.raises(DomainError):
             CarfimaModel(**kwargs)
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"alpha": [0.0, "x"]}, {"p": "two"}, {"beta": [None], "q": 1, "p": 2,
+                                               "alpha": [0.0, -1.0, -2.0]},
+         {"H": "half"}, {"sigma": [1.0]}, {"alpha": 5}],
+    )
+    def test_non_numeric_entries_rejected(self, change):
+        d = {**car1(0.7).to_dict(), **change}
+        with pytest.raises(DomainError):
+            CarfimaModel.from_dict(d)
+        with pytest.raises(DomainError):
+            CarfimaModel(**d)
+
     def test_json_round_trip(self, rng):
         for _ in range(10):
             m = random_stable_model(rng)

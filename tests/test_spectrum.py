@@ -189,6 +189,10 @@ class TestSpectrumTable:
             t = spectrum_table(m, omegas, kind="aliased", step_h=step_h)
             assert t.values == pytest.approx([d.value for d in details], rel=1e-12)
 
+    def test_aliased_table_rejects_nonstationary(self):
+        with pytest.raises(DomainError):
+            spectrum_table(car1(0.5, a1=0.5), [0.5], kind="aliased", step_h=1.0)
+
     def test_negative_values_rejected(self):
         with pytest.raises(DomainError):
             SpectrumTable(omegas=np.array([0.0]), values=np.array([-1.0]),
