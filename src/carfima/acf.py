@@ -327,6 +327,8 @@ def cov_y0_fbm(model: CarfimaModel, t: float, parts: ModelParts | None = None) -
         raise DomainError("cov_y0_fbm requires alpha_0 = 0")
     parts = parts or prepare(model)
     _require_stationary(parts)
+    if t == 0:  # Y_0 against B_H(0) = 0
+        return 0.0
     H = model.H
     A = parts.sys.A
     b = parts.sys.beta_vec
@@ -337,8 +339,7 @@ def cov_y0_fbm(model: CarfimaModel, t: float, parts: ModelParts | None = None) -
 
     scale = model.sigma
     U = _decay_horizon(A, rtol=1e-15, weight_exp=max(2 * H - 1, 0.0))
-    shifted = _checked_quad(lambda u: psi(u) * (u + t) ** (2 * H - 1), 0.0, U, scale) \
-        if t > 0 else _int_power_weight(psi, U, H, scale)
+    shifted = _checked_quad(lambda u: psi(u) * (u + t) ** (2 * H - 1), 0.0, U, scale)
     plain = _int_power_weight(psi, U, H, scale)
     return H * model.sigma * (shifted - plain)
 

@@ -2,10 +2,13 @@
 
 The periodogram at the Fourier frequencies is matched against the aliased
 model spectrum; the innovation scale enters multiplicatively, so sigma^2 is
-profiled out in closed form and the simplex search runs over the shape
-parameters (AR and MA coefficients and the Hurst exponent) only.  H = 1/2
-is excluded from the search domain: the fit explores both sides of the
-gap through its multi-starts.
+profiled out in closed form.  The fit is a quasi-Newton search (L-BFGS-B)
+on the profiled objective and its exact gradient, over the shape
+parameters: the log-coefficients of the real factors of alpha(z), so that
+every iterate is stationary, the MA coefficients, and H inside box bounds
+on one side of the excluded band around H = 1/2.  Multi-starts explore
+both sides.  Standard errors come from the Whittle Fisher information of
+the same per-ordinate gradients.
 """
 
 from __future__ import annotations
@@ -14,18 +17,24 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DomainError
-from .model import CarfimaModel, beta_poly_coeffs, prepare
+from .model import CarfimaModel, alpha_poly_coeffs, beta_poly_coeffs, prepare
 from .simulate import SamplePath
-from .spectrum import DEFAULT_ALIAS_K, _AliasSum
+from .spectrum import DEFAULT_ALIAS_K, _alpha_factors, _AliasSum, _ratio_sq
 
 H_MIN = 0.01
 H_MAX = 0.99
 H_GAP = 0.005  # half-width of the excluded band around H = 1/2
+# the fit keeps log a and log c within this of log(1/h), and log b within
+# twice it of log(1/h^2): a and c stay within a factor 1e8 of the sampling
+# rate and b within 1e16 of its square, which keeps every term of the alias
+# sum finite
+LOG_RATE_SPAN = math.log(1e8)
 
 
 @dataclass(frozen=True)
@@ -59,6 +68,9 @@ class FitResult:
     converged: bool
     iterations: int
     stationarity_ok: bool
+    # standard errors of (alpha_1..alpha_p, beta_1..beta_q, H); nan where
+    # the Whittle information is singular
+    stderr: tuple[float, ...]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -67,6 +79,7 @@ class FitResult:
                 "objective": self.objective_value,
                 "converged": self.converged,
                 "iterations": self.iterations,
+                "stderr": [s if math.isfinite(s) else None for s in self.stderr],
             }
         )
 
@@ -108,21 +121,6 @@ def profile_sigma2(pg: Periodogram, model: CarfimaModel,
     return model.sigma**2 * float(np.mean(pg.values / f))
 
 
-def h_to_logit(H: float, side: str) -> float:
-    lo, hi = _h_bounds(side)
-    if not lo < H < hi:
-        raise DomainError(f"H={H} outside the {side} side ({lo}, {hi})")
-    u = (H - lo) / (hi - lo)
-    return math.log(u / (1.0 - u))
-
-
-def logit_to_h(x: float, side: str) -> float:
-    lo, hi = _h_bounds(side)
-    # exp(-x) overflows below x = -709.78, where the logistic is already
-    # below 1e-308 and lo + (hi - lo) * it rounds to lo
-    return lo + (hi - lo) / (1.0 + math.exp(min(-x, 709.0)))
-
-
 def _h_bounds(side: str) -> tuple[float, float]:
     if side == "low":
         return H_MIN, 0.5 - H_GAP
@@ -131,12 +129,83 @@ def _h_bounds(side: str) -> tuple[float, float]:
     raise DomainError(f"unknown H side {side!r}")
 
 
-def _default_start(p: int, q: int, step_h: float) -> tuple[np.ndarray, np.ndarray]:
-    lambdas = -np.linspace(0.4, 1.2, p) / step_h
-    poly = np.poly(lambdas)  # monic, highest first
-    alpha_ar = -poly[:0:-1]  # alpha_1..alpha_p
-    beta = np.full(q, 0.1)
-    return alpha_ar, beta
+def _log_factors(roots) -> np.ndarray:
+    """theta's alpha part: log (a_1, b_1, ..., c) of the factors of alpha(z)."""
+    quadratic, linear = _alpha_factors(roots)
+    coeffs = np.concatenate([quadratic.ravel(), linear])
+    if np.any(coeffs <= 0):
+        raise DomainError("the start model must be stationary")
+    return np.log(coeffs)
+
+
+def _split(theta: np.ndarray, p: int, q: int):
+    """(quadratic, linear, beta, H) of theta = (log factor coefficients, beta, H)."""
+    coeffs = np.exp(theta[:p])
+    k = p // 2
+    return coeffs[: 2 * k].reshape(k, 2), coeffs[2 * k :], tuple(theta[p : p + q]), theta[-1]
+
+
+def _factor_polys(quadratic, linear) -> list[np.ndarray]:
+    return ([np.array([1.0, a, b]) for a, b in quadratic]
+            + [np.array([1.0, c]) for c in linear])
+
+
+def _alpha_coeffs(quadratic, linear) -> np.ndarray:
+    """alpha_1..alpha_p of alpha(z) = the product of the factors."""
+    return -reduce(np.convolve, _factor_polys(quadratic, linear), np.ones(1))[:0:-1]
+
+
+def _alpha_jacobian(quadratic, linear) -> np.ndarray:
+    """d(alpha_1..alpha_p) / d(log a_1, log b_1, ..., log c), a p x p matrix."""
+    polys = _factor_polys(quadratic, linear)
+    cols = []
+    for i, poly in enumerate(polys):
+        rest = reduce(np.convolve, polys[:i] + polys[i + 1 :], np.ones(1))
+        for j in range(1, len(poly)):
+            unit = np.zeros(len(poly))
+            unit[j] = poly[j]
+            cols.append(-np.convolve(unit, rest)[:0:-1])
+    return np.array(cols).T
+
+
+def _profiled(alias: _AliasSum, ivals: np.ndarray, p: int, q: int):
+    """theta -> (Q, grad Q, g, grad log g): the profiled objective and its parts.
+
+    Q = m log s2 + sum log g + m with g the aliased shape spectrum (sigma = 1)
+    and s2 = mean(I / g); grad Q = sum_j (1 - I_j / (s2 g_j)) grad log g_j.
+    """
+    m = len(ivals)
+
+    def evaluate(theta):
+        quadratic, linear, beta, H = _split(theta, p, q)
+        ratio = _ratio_sq(quadratic, linear, beta)
+        g, _, _, dlog_g = alias.evaluate(ratio, p, beta, H, grad=True)
+        scaled = ivals / g
+        s2 = float(np.mean(scaled))
+        value = m * math.log(s2) + float(np.sum(np.log(g))) + m
+        return value, (1.0 - scaled / s2) @ dlog_g, g, dlog_g
+
+    return evaluate
+
+
+def _stderr(dlog_g: np.ndarray, quadratic, linear, q: int) -> tuple[float, ...]:
+    """Standard errors of (alpha_1..alpha_p, beta_1..beta_q, H).
+
+    The Whittle information is sum_j s_j s_j^T over the per-ordinate scores
+    s_j = grad log g_j (each I_j / f_j is asymptotically Exp(1)); centring
+    the scores profiles sigma^2 out.  The covariance maps from theta to the
+    model coordinates through the factor-to-coefficient Jacobian.
+    """
+    scores = dlog_g - dlog_g.mean(axis=0)
+    try:
+        cov = np.linalg.inv(scores.T @ scores)
+    except np.linalg.LinAlgError:
+        return (math.nan,) * dlog_g.shape[1]
+    jac = np.eye(len(cov))
+    p = len(cov) - q - 1
+    jac[:p, :p] = _alpha_jacobian(quadratic, linear)
+    var = np.diag(jac @ cov @ jac.T)
+    return tuple(float(math.sqrt(v)) if v >= 0 else math.nan for v in var)
 
 
 def fit(
@@ -150,46 +219,43 @@ def fit(
 ) -> FitResult:
     """Whittle fit of a CARFIMA(p, H, q) model to a sampled path.
 
-    Derivative-free simplex over (alpha_1..alpha_p, beta_1..beta_q,
-    logit H), sigma^2 profiled out analytically at every step.  Iterates
-    with any companion eigenvalue in the closed right half-plane score
-    +inf.  Multi-starts alternate between the two H half-ranges; the best
-    final objective wins, ties broken by start index.
+    L-BFGS-B with the exact gradient over theta = (log-coefficients of the
+    factors z^2 + a z + b and, for odd p, z + c of alpha(z); beta_1..beta_q;
+    H), sigma^2 profiled out analytically at every step.  Every theta is a
+    stationary model.  H stays inside the box of its start's side, and
+    the log-coefficients within LOG_RATE_SPAN of the sampling rate's scale.
+    Multi-starts alternate between the two H sides (start 0 unperturbed,
+    the others perturbed from the seed); the best final objective wins,
+    ties broken by start index.  An init of other orders or a nonstationary
+    init raises DomainError.
     """
     if p < 1 or not 0 <= q < p:
         raise DomainError("need p >= 1 and 0 <= q < p")
     if n_starts < 1:
         raise DomainError("n_starts must be >= 1")
+    if init is not None and (init.p, init.q) != (p, q):
+        raise DomainError(f"init has orders ({init.p}, {init.q}), the fit ({p}, {q})")
     pg = periodogram(path)
     if not np.any(pg.values):
         raise DomainError("cannot fit a constant path: its periodogram is zero")
-    alias = _AliasSum(pg.omegas, pg.step_h, K)
-    m = len(pg.values)
-    ivals = pg.values
+    profiled = _profiled(_AliasSum(pg.omegas, pg.step_h, K), pg.values, p, q)
 
-    def objective(theta, side):
-        alpha_ar = theta[:p]
-        beta = theta[p : p + q]
-        H = logit_to_h(theta[-1], side)
-        try:
-            model = CarfimaModel(p=p, q=q, alpha=(0.0, *alpha_ar), beta=tuple(beta),
-                                 H=H, sigma=1.0)
-            f_shape, _, _ = alias(model)
-        except DomainError:
-            return math.inf
-        if not np.all(np.isfinite(f_shape)) or np.any(f_shape <= 0):
-            return math.inf
-        s2 = float(np.mean(ivals / f_shape))
-        return m * math.log(s2) + float(np.sum(np.log(f_shape))) + m
+    def objective(theta):
+        return profiled(theta)[:2]
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if init is not None:
-        base_ar = np.array(init.alpha[1:])
+        base_log = _log_factors(np.roots(alpha_poly_coeffs(init)))
         base_beta = np.array(init.beta) if q >= 1 else np.zeros(0)
         base_h = init.H
     else:
-        base_ar, base_beta = _default_start(p, q, path.step_h)
+        base_log = _log_factors(-np.linspace(0.4, 1.2, p) / path.step_h)
+        base_beta = np.full(q, 0.1)
         base_h = None
+    # a and c scale as 1/h, b as 1/h^2
+    scale = np.array([1.0, 2.0] * (p // 2) + [1.0] * (p % 2))
+    centre = -scale * math.log(path.step_h)
+    log_bounds = list(zip(centre - scale * LOG_RATE_SPAN, centre + scale * LOG_RATE_SPAN))
     results = []
     total_iter = 0
     for start in range(n_starts):
@@ -197,28 +263,22 @@ def fit(
             "low" if base_h < 0.5 else "high")
         lo, hi = _h_bounds(side)
         h0 = base_h if base_h is not None else {"low": 0.3, "high": 0.7}[side]
-        h0 = min(max(h0, lo + 1e-3), hi - 1e-3)
-        theta0 = np.concatenate([
-            base_ar * (1.0 + 0.3 * rng.standard_normal(p)),
-            base_beta + 0.1 * rng.standard_normal(q),
-            [h_to_logit(h0, side) + 0.5 * rng.standard_normal()],
-        ])
-        if start == 0:  # keep one undisturbed start
-            theta0 = np.concatenate([base_ar, base_beta, [h_to_logit(h0, side)]])
-        res = minimize(
-            objective, theta0, args=(side,), method="Nelder-Mead",
-            options={"maxiter": 500 * len(theta0), "fatol": 1e-8, "xatol": 1e-4},
-        )
+        theta0 = np.concatenate([base_log, base_beta, [h0]])
+        if start > 0:
+            theta0 += np.concatenate([0.3 * rng.standard_normal(p),
+                                      0.1 * rng.standard_normal(q),
+                                      [0.05 * rng.standard_normal()]])
+        theta0[-1] = min(max(theta0[-1], lo + 1e-3), hi - 1e-3)
+        res = minimize(objective, theta0, method="L-BFGS-B", jac=True,
+                       bounds=log_bounds + [(None, None)] * q + [(lo, hi)])
         total_iter += res.nit
-        results.append((res.fun, start, side, res))
-    best_fun, best_start, best_side, best = min(results, key=lambda r: (r[0], r[1]))
-    theta = best.x
-    H_hat = logit_to_h(theta[-1], best_side)
-    shape = CarfimaModel(p=p, q=q, alpha=(0.0, *theta[:p]), beta=tuple(theta[p : p + q]),
-                         H=H_hat, sigma=1.0)
-    s2 = float(np.mean(ivals / alias(shape)[0]))
-    model_hat = CarfimaModel(p=p, q=q, alpha=shape.alpha, beta=shape.beta,
-                             H=H_hat, sigma=math.sqrt(s2))
+        results.append((res.fun, start, res))
+    best_fun, _, best = min(results, key=lambda r: (r[0], r[1]))
+    quadratic, linear, beta, H_hat = _split(best.x, p, q)
+    _, _, g, dlog_g = profiled(best.x)
+    model_hat = CarfimaModel(p=p, q=q, alpha=(0.0, *_alpha_coeffs(quadratic, linear)),
+                             beta=beta, H=H_hat,
+                             sigma=math.sqrt(float(np.mean(pg.values / g))))
     parts = prepare(model_hat)
     if q >= 1 and np.any(np.roots(beta_poly_coeffs(model_hat)).real >= 0):
         warnings.warn(
@@ -232,4 +292,5 @@ def fit(
         converged=bool(best.success),
         iterations=int(total_iter),
         stationarity_ok=bool(parts.stationary),
+        stderr=_stderr(dlog_g, quadratic, linear, q),
     )

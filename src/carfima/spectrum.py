@@ -10,16 +10,18 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import digamma
 from scipy.special import gamma as gamma_fn
 
-from .acf import acf_carma, acf_closed_form
+from .acf import acf_carma, acf_closed_form, acf_integral_form
 from .errors import DomainError, QuadratureError, TailBoundTooLooseError
-from .model import (CarfimaModel, ModelParts, alpha_poly_coeffs, beta_poly_coeffs,
-                    is_stationary, prepare)
+from .model import CarfimaModel, ModelParts, alpha_poly_coeffs, is_stationary, prepare
 
 DEFAULT_ALIAS_K = 64
 DEFAULT_BRACKET_RTOL = 1e-2
@@ -73,27 +75,82 @@ def _even_odd(coeffs) -> tuple[np.ndarray, np.ndarray]:
     return even[::-1], odd[::-1]  # highest power of w^2 first
 
 
-def _ratio_sq(model: CarfimaModel):
+def _alpha_factors(roots) -> tuple[np.ndarray, np.ndarray]:
+    """Real factors of alpha(z) = prod (z^2 + a z + b) * prod (z + c) from its roots.
+
+    Each complex-conjugate pair (exact pairs, as a real eigenvalue solver
+    returns them) gives one quadratic; the real roots, in descending order,
+    pair up into quadratics, and for odd p the last one gives the linear
+    factor.  Returns the (a, b) rows and the c values; every entry is
+    positive iff every root lies in the open left half-plane.
+    """
+    roots = np.asarray(roots, dtype=complex)
+    upper = roots[roots.imag > 0]
+    real = np.sort(roots[roots.imag == 0].real)[::-1]
+    pairs = real[: 2 * (len(real) // 2)].reshape(-1, 2)
+    quadratic = np.concatenate([
+        np.stack([-2.0 * upper.real, upper.real**2 + upper.imag**2], axis=1),
+        np.stack([-pairs.sum(axis=1), pairs.prod(axis=1)], axis=1),
+    ])
+    return quadratic, -real[2 * len(pairs):]
+
+
+def _ratio_sq(quadratic: np.ndarray, linear: np.ndarray, beta):
     """|beta(iw)|^2 / |alpha(iw)|^2 as a function of w^2, in real arithmetic.
 
-    The coefficients are split once per model, not once per call.
+    alpha(z) is the product of the factors z^2 + a z + b (rows (a, b) of
+    quadratic) and z + c (entries of linear), whose moduli at z = iw are
+    (b - w^2)^2 + a^2 w^2 and w^2 + c^2.  ratio(w2, grad=True) returns
+    the value and d log(value) / d theta, one array per entry of theta =
+    (log a_1, log b_1, ..., log c_1, ..., beta_1..beta_q).
     """
-    be, bo = _even_odd(beta_poly_coeffs(model))
-    ae, ao = _even_odd(alpha_poly_coeffs(model))
+    be, bo = _even_odd((1.0, *beta)[::-1])
+    q = len(beta)
+    sq_a, b, sq_c = quadratic[:, 0] ** 2, quadratic[:, 1], linear**2
 
-    def ratio(w2):
-        num = np.polyval(be, w2) ** 2
-        if len(bo):
-            num = num + w2 * np.polyval(bo, w2) ** 2
-        return num / (np.polyval(ae, w2) ** 2 + w2 * np.polyval(ao, w2) ** 2)
+    def ratio(w2, grad=False):
+        mods = ([(bj - w2) ** 2 + aj * w2 for aj, bj in zip(sq_a, b)]
+                + [w2 + cj for cj in sq_c])
+        num = 1.0
+        if q:
+            even, odd = _horner(be, w2), _horner(bo, w2)
+            num = even**2 + w2 * odd**2
+        if not grad:
+            return num / reduce(operator.mul, mods)
+        # reciprocals in place: fewer live temporaries per block, lower peak memory
+        invs = [np.reciprocal(mod, out=mod) for mod in mods]
+        value = reduce(operator.mul, invs)
+        if q:
+            value = num * value
+        dlogs = []
+        for aj, bj, inv in zip(sq_a, b, invs):
+            dlogs += [-2.0 * aj * w2 * inv, -2.0 * bj * (bj - w2) * inv]
+        dlogs += [-2.0 * cj * inv for cj, inv in zip(sq_c, invs[len(b):])]
+        # d|beta(iw)|^2 / d beta_k = 2 (-1)^floor(k/2) w^(2 ceil(k/2)) times
+        # E for even k and O for odd k
+        two_over_num = 2.0 / num
+        w_pow = 1.0
+        for k in range(1, q + 1):
+            sign = -1.0 if (k // 2) % 2 else 1.0
+            if k % 2:
+                w_pow = w_pow * w2
+            dlogs.append(sign * w_pow * (odd if k % 2 else even) * two_over_num)
+        return value, dlogs
 
     return ratio
 
 
-def _front_constant(model: CarfimaModel) -> float:
+def _horner(coeffs: np.ndarray, x):
+    """Polynomial value, highest power first; the constant itself for degree 0."""
+    out = coeffs[0]
+    for c in coeffs[1:]:
+        out = out * x + c
+    return out
+
+
+def _front_constant(H: float, sigma: float = 1.0) -> float:
     """sigma^2 Gamma(2H+1) sin(pi H) / (2 pi)."""
-    H = model.H
-    return model.sigma**2 * gamma_fn(2 * H + 1) * math.sin(math.pi * H) / (2 * math.pi)
+    return sigma**2 * gamma_fn(2 * H + 1) * math.sin(math.pi * H) / (2 * math.pi)
 
 
 def spectral_density(model: CarfimaModel, omega, parts: ModelParts | None = None):
@@ -109,8 +166,8 @@ def spectral_density(model: CarfimaModel, omega, parts: ModelParts | None = None
     w = np.asarray(omega, dtype=float)
     # 0^{1-2H} gives the omega = 0 values: 0, the CARMA value, or inf
     with np.errstate(divide="ignore"):
-        out = (_front_constant(model) * np.abs(w) ** (1.0 - 2.0 * model.H)
-               * _ratio_sq(model)(w * w))
+        out = (_front_constant(model.H, model.sigma) * np.abs(w) ** (1.0 - 2.0 * model.H)
+               * _ratio_sq(*_alpha_factors(parts.es.lambdas), model.beta)(w * w))
     return float(out) if out.ndim == 0 else out
 
 
@@ -153,33 +210,81 @@ class _AliasSum:
     def __call__(self, model: CarfimaModel) -> tuple[np.ndarray, float, float]:
         """Aliased density per omega, and the bracket (tail_lo, tail_hi) on its tail.
 
-        Every alias-sum caller passes this stationarity gate.  The density is
-        the truncated sum plus the bracket's midpoint.  The sum runs over
-        blocks of _ROW_BLOCK rows; every element and every row sum is
-        computed exactly as over the full grid.
+        Every caller that passes a model passes this stationarity gate; the
+        factors of alpha(z) come from the roots it computes.
         """
-        if not is_stationary(np.roots(alpha_poly_coeffs(model))):
+        roots = np.roots(alpha_poly_coeffs(model))
+        if not is_stationary(roots):
             raise DomainError("aliased spectrum requires a stationary model")
-        e = 1.0 - 2.0 * model.H
-        c = _front_constant(model)
-        ratio = _ratio_sq(model)
-        trunc = np.empty(len(self.W2))
-        for start in range(0, len(trunc), _ROW_BLOCK):
+        ratio = _ratio_sq(*_alpha_factors(roots), model.beta)
+        return self.evaluate(ratio, model.p, model.beta, model.H, model.sigma)[:3]
+
+    def evaluate(self, ratio, p: int, beta, H: float, sigma: float = 1.0,
+                 grad: bool = False):
+        """(f, tail_lo, tail_hi, dlog_f) for a _ratio_sq of order (p, len(beta)) and H.
+
+        f is the truncated sum plus the midpoint of the tail bracket.  The
+        sum runs over blocks of _ROW_BLOCK rows; every element and every row
+        sum is computed exactly as over the full grid.  With grad, dlog_f
+        holds d log f / d theta per omega (one row each), for theta = the
+        ratio's parameters followed by H; the derivative rows accumulate in
+        the same pass.  Otherwise dlog_f is None.
+        """
+        e = 1.0 - 2.0 * H
+        c = _front_constant(H, sigma)
+        rows_total = len(self.W2)
+        trunc = np.empty(rows_total)
+        if grad:
+            # d log c / dH
+            dlog_c = 2.0 * digamma(2.0 * H + 1.0) + math.pi / math.tan(math.pi * H)
+            dtrunc = np.empty((rows_total, p + len(beta) + 1))
+        for start in range(0, rows_total, _ROW_BLOCK):
             rows = slice(start, start + _ROW_BLOCK)
             # |W|^{1-2H}; at H = 1/2 it is 1 even where W = 0
             power = np.exp(e * self.logW[rows]) if e else 1.0
-            trunc[rows] = (c * power * ratio(self.W2[rows])).sum(axis=1)
+            if not grad:
+                trunc[rows] = (c * power * ratio(self.W2[rows])).sum(axis=1)
+                continue
+            value, dlogs = ratio(self.W2[rows], grad=True)
+            term = np.multiply(power, value, out=value)  # the summand over c
+            trunc[rows] = c * term.sum(axis=1)
+            for j, dlog in enumerate(dlogs):
+                dtrunc[rows, j] = c * np.einsum("ij,ij->i", term, dlog)
+            # d |W|^{1-2H} / dH = -2 log|W| |W|^{1-2H}
+            dtrunc[rows, -1] = (dlog_c * trunc[rows]
+                                - 2.0 * c * np.einsum("ij,ij->i", term, self.logW[rows]))
         # remainder: |k| > K aliases lie beyond w_min; f_Y there is pinched
         # between two power laws C * w^nu with nu = 1-2H-2(p-q) < -1
-        d = model.p - model.q
+        d = p - len(beta)
         nu = e - 2.0 * d
-        vals = ratio(self.tail_grid2) * self.tail_grid2 ** d
-        lead = (model.beta[-1] if model.q >= 1 else 1.0) ** 2
+        if grad:
+            tail_ratio, tail_dlogs = ratio(self.tail_grid2, grad=True)
+        else:
+            tail_ratio = ratio(self.tail_grid2)
+        vals = tail_ratio * self.tail_grid2 ** d
+        lead = (beta[-1] if len(beta) else 1.0) ** 2
         r_hi = max(float(vals.max()), lead) * (1 + 1e-3)
         r_lo = min(float(vals.min()), lead) * (1 - 1e-3)
         tail_hi = 2 * c * r_hi / (2 * math.pi) * self.w_hi ** (nu + 1.0) / (-nu - 1.0)
         tail_lo = 2 * c * r_lo / (2 * math.pi) * self.w_lo ** (nu + 1.0) / (-nu - 1.0)
-        return trunc / self.step_h + 0.5 * (tail_hi + tail_lo), tail_lo, tail_hi
+        f = trunc / self.step_h + 0.5 * (tail_hi + tail_lo)
+        if not grad:
+            return f, tail_lo, tail_hi, None
+        # the bracket ends are differentiated with their argmax and argmin
+        # held fixed; H enters through c(H) and the exponent nu = 1-2H-2(p-q)
+        dlog_lead = np.zeros(dtrunc.shape[1] - 1)
+        if len(beta):
+            dlog_lead[-1] = 2.0 / beta[-1]
+
+        def dlog_end(r_vals_wins, i, w_end):
+            dlog_r = (np.array([dl[i] for dl in tail_dlogs]) if r_vals_wins
+                      else dlog_lead)
+            return np.append(dlog_r, dlog_c - 2.0 * (math.log(w_end) + 1.0 / (-nu - 1.0)))
+
+        dtail = 0.5 * (
+            tail_hi * dlog_end(vals.max() >= lead, int(np.argmax(vals)), self.w_hi)
+            + tail_lo * dlog_end(vals.min() <= lead, int(np.argmin(vals)), self.w_lo))
+        return f, tail_lo, tail_hi, (dtrunc / self.step_h + dtail) / f[:, None]
 
 
 def aliased_spectrum_detail(
@@ -255,11 +360,12 @@ def fourier_consistency_check(
     Fourier integrator.  Returns a report with the max relative deviation.
     """
     H = model.H
-    c = _front_constant(model)
+    c = _front_constant(H, model.sigma)
     kappa = 1.0 / (2.0 - 2.0 * H)
     split = 1.0
 
-    ratio = _ratio_sq(model)
+    parts = parts or prepare(model)
+    ratio = _ratio_sq(*_alpha_factors(parts.es.lambdas), model.beta)
 
     def gamma_hat(h: float) -> float:
         def low(v):
@@ -286,7 +392,14 @@ def fourier_consistency_check(
         return 2.0 * (i_low + i_high)
 
     lags = [float(h) for h in lag_grid]
-    route = acf_carma if model.H == 0.5 else acf_closed_form
+    # the route autocovariance(method="auto") takes: quadrature when the
+    # eigenvalues are too close for the closed form
+    if model.H == 0.5:
+        route = acf_carma
+    elif parts.es.distinct:
+        route = acf_closed_form
+    else:
+        route = acf_integral_form
     reference = route(model, np.array(lags), parts).tolist()
     transformed = [gamma_hat(h) for h in lags]
     scale = max(abs(g) for g in reference)

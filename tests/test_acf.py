@@ -239,6 +239,13 @@ class TestCovY0Fbm:
     def test_t_zero(self):
         assert cov_y0_fbm(car1(0.7), 0.0) == pytest.approx(0.0, abs=1e-12)
 
+    def test_t_zero_needs_no_quadrature(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("quadrature at t = 0")
+
+        monkeypatch.setattr(carfima.acf, "_int_power_weight", refuse)
+        assert cov_y0_fbm(car1(0.7), 0.0) == 0.0
+
     def test_brownian_independence(self, ou_model):
         for t in (0.5, 1.0, 4.0):
             assert cov_y0_fbm(ou_model, t) == pytest.approx(0.0, abs=1e-10)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from carfima import read_path_csv
+from carfima import CarfimaModel, read_path_csv
 from carfima.cli import build_parser, main
 from carfima.spectrum import DEFAULT_ALIAS_K
 
@@ -167,6 +167,23 @@ class TestVerifyCommand:
         names = {c["check"] for c in report["checks"]}
         assert "closed_vs_quadrature" in names
         assert "lyapunov_residual" in names
+
+    def test_verify_repeated_eigenvalues(self, tmp_path, capsys):
+        # alpha = (0, -1, -2): double root at -1, too close for the closed form,
+        # so the Fourier check takes its reference from quadrature
+        m = CarfimaModel(p=2, q=0, alpha=(0.0, -1.0, -2.0), beta=(), H=0.3, sigma=1.0)
+        mf = tmp_path / "m.json"
+        mf.write_text(m.to_json())
+        with pytest.warns(UserWarning, match="repeated eigenvalues"):
+            rc = main(["verify", "--model", str(mf), "--lags", "0:2:0.5",
+                       "--mc-paths", "600", "--mc-n", "128",
+                       "--out", str(tmp_path / "rep.json")])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "note: repeated eigenvalues" in out
+        report = json.loads((tmp_path / "rep.json").read_text())
+        checks = {c["check"]: c for c in report["checks"]}
+        assert checks["fourier_vs_acf"]["passed"]
 
     def test_verify_nonstationary_rejected(self, tmp_path):
         mf = tmp_path / "m.json"

@@ -1,9 +1,12 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from carfima import (
@@ -19,7 +22,8 @@ from carfima import (
     simulate_exact,
     whittle_objective,
 )
-from carfima.estimate import h_to_logit, logit_to_h
+from carfima.estimate import _alpha_coeffs, _alpha_jacobian, _profiled, _split
+from carfima.spectrum import _AliasSum
 
 from conftest import car1, model_from_eigenvalues
 
@@ -141,29 +145,6 @@ class TestWhittleObjective:
         assert whittle_objective(pg, m, K=2) == pytest.approx(expected, rel=1e-12)
 
 
-class TestLogisticMap:
-    def test_round_trip(self):
-        for side, hs in (("low", (0.011, 0.2, 0.49)), ("high", (0.506, 0.7, 0.989))):
-            for H in hs:
-                assert logit_to_h(h_to_logit(H, side), side) == pytest.approx(
-                    H, abs=1e-12)
-
-    def test_ranges_exclude_half(self):
-        for x in (-50.0, 0.0, 50.0):
-            assert logit_to_h(x, "low") < 0.5 - 0.004
-            assert logit_to_h(x, "high") > 0.5 + 0.004
-
-    def test_out_of_side_rejected(self):
-        with pytest.raises(DomainError):
-            h_to_logit(0.7, "low")
-
-    def test_extreme_logits_saturate(self):
-        # math.exp(-x) alone overflows below x = -709.78
-        assert logit_to_h(-800.0, "low") == 0.01
-        assert logit_to_h(-1e308, "high") == 0.505
-        assert logit_to_h(800.0, "low") == 0.495
-
-
 class TestFit:
     def test_recovery_smoke(self):
         m = car1(0.7)
@@ -187,9 +168,17 @@ class TestFit:
         r = fit(path, 1, 0, init=car1(0.65), seed=0, n_starts=2)
         assert r.model_hat.H > 0.5
 
+    def test_init_of_other_order_or_nonstationary_rejected(self):
+        path = simulate_exact(car1(0.7), 256, 1.0, seed=1)
+        with pytest.raises(DomainError, match="orders"):
+            fit(path, 2, 0, init=car1(0.7), n_starts=1)
+        with pytest.raises(DomainError, match="stationary"):
+            fit(path, 1, 0, init=car1(0.7, a1=0.5), n_starts=1)
+
     def test_logit_below_exp_range_does_not_overflow(self):
-        # the simplex drives the H logit below -709.78 on this path, where an
-        # unguarded math.exp(-x) raised OverflowError
+        # the old simplex over logit H drove the logit below -709.78 on this
+        # path, where an unguarded math.exp(-x) raised OverflowError; H now
+        # moves inside box bounds
         m = CarfimaModel(p=2, q=1, alpha=(0.0, -1.0, -1.5), beta=(0.5,), H=0.3,
                          sigma=1.0)
         path = _path(exact_gaussian_paths(m, 4096, 1.0, 2, seed=5)[0])
@@ -203,7 +192,7 @@ class TestFit:
         path = simulate_exact(m, 512, 1.0, seed=2)
         r = fit(path, 1, 0, seed=0, n_starts=1)
         d = json.loads(r.to_json())
-        assert set(d) == {"model", "objective", "converged", "iterations"}
+        assert set(d) == {"model", "objective", "converged", "iterations", "stderr"}
         CarfimaModel.from_dict(d["model"])
 
     def test_bad_orders_rejected(self):
@@ -216,3 +205,59 @@ class TestFit:
     def test_constant_path_rejected(self):
         with pytest.raises(DomainError, match="constant"):
             fit(_path(np.ones(64)), 1, 0)
+
+    def test_carfima_2_1_recovery(self):
+        m = CarfimaModel(p=2, q=1, alpha=(0.0, -1.0, -1.5), beta=(0.5,), H=0.7, sigma=1.0)
+        path = _path(exact_gaussian_paths(m, 4096, 1.0, 1, seed=31)[0])
+        r = fit(path, 2, 1, seed=0, n_starts=4)
+        assert r.converged
+        assert r.stationarity_ok
+        truth = whittle_objective(periodogram(path), CarfimaModel(
+            p=2, q=1, alpha=m.alpha, beta=m.beta, H=m.H,
+            sigma=math.sqrt(profile_sigma2(periodogram(path), m))))
+        assert r.objective_value <= truth
+
+    def test_stderr_of_h_matches_central_differences(self):
+        # the first criterion-9 path at H0 = 0.7; the oracle differentiates the
+        # printed aliased spectrum numerically at the fitted model
+        from test_acceptance import _whittle_sd_h
+
+        paths = exact_gaussian_paths(car1(0.7), 4096, 1.0, 50, seed=21)
+        r = fit(_path(paths[0]), 1, 0, seed=0, n_starts=4)
+        assert len(r.stderr) == 2
+        oracle = _whittle_sd_h(r.model_hat, 4096, 1.0)
+        assert r.stderr[-1] == pytest.approx(oracle, rel=0.02)
+
+
+class TestProfiledObjective:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(p=st.integers(1, 3), data=st.data(), high=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_gradient_and_value(self, p, data, high, seed):
+        q = data.draw(st.integers(0, p - 1))
+        rng = np.random.default_rng(seed)
+        beta = rng.uniform(-0.6, 0.6, q)
+        if q:
+            beta[-1] = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 0.8)
+        H = rng.uniform(0.55, 0.95) if high else rng.uniform(0.05, 0.45)
+        theta = np.concatenate([rng.uniform(-1.5, 1.0, p), beta, [H]])
+        pg = periodogram(_path(rng.standard_normal(256)))
+        objective = _profiled(_AliasSum(pg.omegas, pg.step_h, 64), pg.values, p, q)
+        value, grad = objective(theta)[:2]
+        # central differences, tail bracket included
+        step = 1e-6
+        fd = np.array([(objective(theta + step * e)[0] - objective(theta - step * e)[0])
+                       / (2 * step) for e in np.eye(len(theta))])
+        assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
+        # one engine: the same value as whittle_objective after profiling
+        quadratic, linear = _split(theta, p, q)[:2]
+        shape = CarfimaModel(p=p, q=q, alpha=(0.0, *_alpha_coeffs(quadratic, linear)),
+                             beta=tuple(beta), H=H, sigma=1.0)
+        profiled = replace(shape, sigma=math.sqrt(profile_sigma2(pg, shape)))
+        assert value == pytest.approx(whittle_objective(pg, profiled), rel=1e-12)
+        # the factor-to-coefficient Jacobian that maps the standard errors
+        jac = _alpha_jacobian(quadratic, linear)
+        fd = np.stack([(_alpha_coeffs(*_split(theta + step * e, p, q)[:2])
+                        - _alpha_coeffs(*_split(theta - step * e, p, q)[:2])) / (2 * step)
+                       for e in np.eye(len(theta))[:p]], axis=1)
+        assert np.allclose(jac, fd, rtol=1e-6, atol=1e-8)
