@@ -15,14 +15,12 @@ from .acf import (
     autocovariance,
     cov_y0_fbm,
     vstar,
-    vstar_integral,
 )
 from .errors import (
     CarfimaError,
     ConvergenceError,
     DomainError,
     FactorizationFailureError,
-    OverflowGuardError,
     QuadratureError,
     RepeatedEigenvaluesError,
     SingularLyapunovError,
@@ -37,11 +35,8 @@ from .estimate import (
     whittle_objective,
 )
 from .fgn import (
-    StepFunction,
     fbm_cov,
     fgn_autocovariance,
-    integral_cov_direct,
-    integral_cov_kernel,
     simulate_fgn,
 )
 from .model import (
@@ -89,7 +84,6 @@ __all__ = [
     "FactorizationFailureError",
     "FitResult",
     "ModelParts",
-    "OverflowGuardError",
     "Periodogram",
     "QuadratureError",
     "RepeatedEigenvaluesError",
@@ -97,7 +91,6 @@ __all__ = [
     "SingularLyapunovError",
     "SpectrumTable",
     "StationaryStateCov",
-    "StepFunction",
     "TailBoundTooLooseError",
     "acf_carma",
     "acf_closed_form",
@@ -116,8 +109,6 @@ __all__ = [
     "fgn_autocovariance",
     "fit",
     "fourier_consistency_check",
-    "integral_cov_direct",
-    "integral_cov_kernel",
     "is_stationary",
     "mean_trajectory",
     "periodogram",
@@ -131,6 +122,5 @@ __all__ = [
     "spectrum_table",
     "stationary_mean",
     "vstar",
-    "vstar_integral",
     "whittle_objective",
 ]

@@ -35,7 +35,7 @@ from .errors import (
     RepeatedEigenvaluesError,
     SingularLyapunovError,
 )
-from .model import CarfimaModel, ModelParts, char_poly_eval, prepare
+from .model import CarfimaModel, build_companion, char_poly_eval, prepare
 from .specfun import u_kernel
 
 # Near the CARMA point the kernel formula cancels badly; dispatch to the
@@ -86,26 +86,25 @@ class AcfTable:
         values.setflags(write=False)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lag", "gamma", "method"])
-            for lag, val in zip(self.lags, self.values):
-                w.writerow([repr(float(lag)), repr(float(val)), self.method])
-
-    @classmethod
-    def from_csv(cls, path, model_hash: str = "") -> "AcfTable":
-        lags, values, method = [], [], "closed_form"
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                lags.append(float(row["lag"]))
-                values.append(float(row["gamma"]))
-                method = row["method"]
-        return cls(lags=np.array(lags), values=np.array(values), method=method,
-                   model_hash=model_hash)
+        _write_csv(path, ["lag", "gamma", "method"], (self.lags, self.values), [self.method])
 
 
-def vstar(sys, model: CarfimaModel) -> StationaryStateCov:
+def _write_csv(path, header, columns, constants=()) -> None:
+    """Write a header, then one row per entry of the float columns.
+
+    Each float is written as its repr, so it reads back exactly; the
+    constants close every row.
+    """
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in zip(*columns):
+            w.writerow([*(repr(float(x)) for x in row), *constants])
+
+
+def vstar(model: CarfimaModel) -> StationaryStateCov:
     """Solve A V* + V* A' = -sigma^2 delta_p delta_p' by Bartels-Stewart."""
+    sys = build_companion(model)
     A = sys.A
     Q = (model.sigma**2) * np.outer(sys.delta_p, sys.delta_p)
     with warnings.catch_warnings():
@@ -120,23 +119,6 @@ def vstar(sys, model: CarfimaModel) -> StationaryStateCov:
             f"Lyapunov residual {resid:.3e} exceeds {LYAPUNOV_RESIDUAL_RTOL:.0e}*sigma^2"
         )
     return StationaryStateCov(Vstar=V)
-
-
-def vstar_integral(sys, model: CarfimaModel, rtol: float = 1e-12) -> np.ndarray:
-    """V* from its defining integral, by quadrature.  Test oracle only."""
-    U = _decay_horizon(sys.A, rtol=1e-16)
-    p = model.p
-
-    def cell(i, j):
-        def f(u):
-            g = expm(sys.A * u) @ sys.delta_p
-            return g[i] * g[j]
-
-        val, err = quad(f, 0.0, U, epsabs=1e-14, epsrel=rtol, limit=400)
-        return val
-
-    V = np.array([[cell(i, j) for j in range(p)] for i in range(p)])
-    return model.sigma**2 * 0.5 * (V + V.T)
 
 
 def _decay_horizon(A, rtol: float = 1e-14, weight_exp: float = 0.0) -> float:
@@ -179,9 +161,12 @@ def _int_power_weight(f, c, H, scale):
     )
 
 
-def _require_stationary(parts: ModelParts):
+def _stationary_parts(model: CarfimaModel):
+    """prepare(model), refused unless the model is stationary."""
+    parts = prepare(model)
     if not parts.stationary:
         raise DomainError("operation requires a stationary model")
+    return parts
 
 
 def _lag_array(h) -> np.ndarray:
@@ -198,7 +183,7 @@ def _like_lags(values, h: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-def acf_integral_form(model: CarfimaModel, h, parts: ModelParts | None = None):
+def acf_integral_form(model: CarfimaModel, h):
     """Autocovariance at lag(s) h from the three-integral matrix form.
 
     Works for any 0 < H < 1 and does not need distinct eigenvalues; each
@@ -207,11 +192,10 @@ def acf_integral_form(model: CarfimaModel, h, parts: ModelParts | None = None):
     per call.
     """
     h = _lag_array(h)
-    parts = parts or prepare(model)
-    _require_stationary(parts)
+    parts = _stationary_parts(model)
     H = model.H
     A = parts.sys.A
-    V = vstar(parts.sys, model).Vstar
+    V = vstar(model).Vstar
     bA = parts.sys.beta_vec @ A
     Vb = V @ parts.sys.beta_vec
 
@@ -242,7 +226,7 @@ def _eigen_coeffs(model: CarfimaModel, es) -> np.ndarray:
     return out
 
 
-def acf_closed_form(model: CarfimaModel, h, parts: ModelParts | None = None):
+def acf_closed_form(model: CarfimaModel, h):
     """Autocovariance at lag(s) h from the closed eigen-expansion.
 
     Requires distinct eigenvalues; the conjugate-pair structure makes the
@@ -251,8 +235,7 @@ def acf_closed_form(model: CarfimaModel, h, parts: ModelParts | None = None):
     eigen weights and the Gamma(2H+1) prefactor are computed once per call.
     """
     h = _lag_array(h)
-    parts = parts or prepare(model)
-    _require_stationary(parts)
+    parts = _stationary_parts(model)
     if not parts.es.distinct:
         raise RepeatedEigenvaluesError(
             "eigenvalues too close for the closed form; use acf_integral_form"
@@ -273,7 +256,7 @@ def acf_closed_form(model: CarfimaModel, h, parts: ModelParts | None = None):
     return _like_lags(total.real, h)
 
 
-def acf_carma(model: CarfimaModel, h, parts: ModelParts | None = None):
+def acf_carma(model: CarfimaModel, h):
     """Autocovariance at lag(s) h for the H = 1/2 (CARMA) case.
 
     Both the matrix form beta' e^{Ah} V* beta (one stacked matrix
@@ -284,9 +267,8 @@ def acf_carma(model: CarfimaModel, h, parts: ModelParts | None = None):
     h = _lag_array(h)
     if model.H != 0.5:
         raise DomainError("acf_carma requires H = 1/2 exactly")
-    parts = parts or prepare(model)
-    _require_stationary(parts)
-    V = vstar(parts.sys, model).Vstar
+    parts = _stationary_parts(model)
+    V = vstar(model).Vstar
     b = parts.sys.beta_vec
     hs = h.reshape(-1)
     mat_form = b @ expm(parts.sys.A[None] * hs[:, None, None]) @ V @ b
@@ -315,7 +297,7 @@ def acf_tail_asymptote(model: CarfimaModel, h: float) -> float:
     return model.sigma**2 * H * (2 * H - 1) * h ** (2 * H - 2) / model.alpha[1] ** 2
 
 
-def cov_y0_fbm(model: CarfimaModel, t: float, parts: ModelParts | None = None) -> float:
+def cov_y0_fbm(model: CarfimaModel, t: float) -> float:
     """Covariance between the stationary Y_0 and the driving fBm at time t.
 
     Only exposed for alpha_0 = 0, matching the two-sided stationary
@@ -325,8 +307,7 @@ def cov_y0_fbm(model: CarfimaModel, t: float, parts: ModelParts | None = None) -
         raise DomainError(f"t must be >= 0, got {t}")
     if model.alpha[0] != 0.0:
         raise DomainError("cov_y0_fbm requires alpha_0 = 0")
-    parts = parts or prepare(model)
-    _require_stationary(parts)
+    parts = _stationary_parts(model)
     if t == 0:  # Y_0 against B_H(0) = 0
         return 0.0
     H = model.H
@@ -344,19 +325,13 @@ def cov_y0_fbm(model: CarfimaModel, t: float, parts: ModelParts | None = None) -
     return H * model.sigma * (shifted - plain)
 
 
-def autocovariance(
-    model: CarfimaModel,
-    lags,
-    method: str = "auto",
-    parts: ModelParts | None = None,
-) -> AcfTable:
+def autocovariance(model: CarfimaModel, lags, method: str = "auto") -> AcfTable:
     """Autocovariance table on a lag grid, dispatching between routes.
 
     method="auto" uses the CARMA route inside |H - 1/2| < 1e-6 (warning
     when H is merely close to 1/2), the closed form for distinct
     eigenvalues, and quadrature otherwise.
     """
-    parts = parts or prepare(model)
     lags = np.atleast_1d(np.asarray(lags, dtype=float))
     if method == "auto":
         if abs(model.H - 0.5) < CARMA_DISPATCH_BAND:
@@ -367,9 +342,8 @@ def autocovariance(
                     stacklevel=2,
                 )
                 model = replace(model, H=0.5)
-                parts = prepare(model)
             method = "carma_exact"
-        elif parts.es.distinct:
+        elif prepare(model).es.distinct:
             method = "closed_form"
         else:
             warnings.warn("repeated eigenvalues: falling back to quadrature", stacklevel=2)
@@ -378,5 +352,5 @@ def autocovariance(
               "carma_exact": acf_carma}
     if method not in routes:
         raise DomainError(f"unknown acf method {method!r}")
-    return AcfTable(lags=lags, values=routes[method](model, lags, parts), method=method,
+    return AcfTable(lags=lags, values=routes[method](model, lags), method=method,
                     model_hash=model.model_hash())

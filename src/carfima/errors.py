@@ -13,10 +13,6 @@ class ConvergenceError(CarfimaError):
     """An iterative evaluation exhausted its term budget."""
 
 
-class OverflowGuardError(CarfimaError):
-    """Evaluation would require the asymptotic branch, which is disabled."""
-
-
 class RepeatedEigenvaluesError(CarfimaError):
     """Closed-form route refused: companion eigenvalues too close together."""
 

@@ -1,16 +1,12 @@
-"""Fractional Gaussian noise: covariances, exact simulation, and the
-stochastic-integral covariance identities for step functions.
+"""Fractional Gaussian noise: covariances and exact simulation.
 
-The two kernel-form covariance routes (one for each side of H = 1/2) are
-evaluated in closed form for step integrands; together with the direct
-increment-covariance double sum they form the oracle pair used to validate
-the fractional machinery downstream.
+The Toeplitz sampler here (circulant embedding, with a Cholesky fallback)
+also draws the exact CARFIMA paths.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -20,32 +16,6 @@ from .errors import DomainError, FactorizationFailureError
 EMBEDDING_EIG_RTOL = 1e-10
 # relative diagonal jitters tried in turn when the Toeplitz Cholesky fails
 CHOLESKY_JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Piecewise-constant function c_i on (s_i, s_{i+1}], zero elsewhere."""
-
-    breakpoints: tuple[float, ...]
-    levels: tuple[float, ...]
-
-    def __post_init__(self):
-        bp = tuple(float(s) for s in self.breakpoints)
-        lv = tuple(float(c) for c in self.levels)
-        if len(bp) != len(lv) + 1 or len(lv) < 1:
-            raise DomainError("need m+1 breakpoints for m >= 1 levels")
-        if any(nxt <= prv for prv, nxt in zip(bp[:-1], bp[1:])):
-            raise DomainError("breakpoints must be strictly ascending")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "levels", lv)
-
-    @property
-    def end(self) -> float:
-        return self.breakpoints[-1]
-
-    @property
-    def end_level(self) -> float:
-        return self.levels[-1]
 
 
 def fgn_autocovariance(H: float, k: int) -> float:
@@ -146,58 +116,3 @@ def _cholesky_rows(cov: np.ndarray, n_paths: int, rng: np.random.Generator) -> n
         "Toeplitz covariance not factorizable after jitter escalation; "
         "this indicates an autocovariance computation bug"
     )
-
-
-def integral_cov_direct(f: StepFunction, g: StepFunction, H: float) -> float:
-    """Covariance of the two step-function fBm integrals by the increment
-    double sum (valid for every 0 < H < 1)."""
-    _check_h(H)
-    s = np.asarray(f.breakpoints)
-    t = np.asarray(g.breakpoints)
-    c = np.asarray(f.levels)
-    d = np.asarray(g.levels)
-    twoH = 2 * H
-
-    def pw(x):
-        return np.abs(x) ** twoH
-
-    s_lo, s_hi = s[:-1, None], s[1:, None]
-    t_lo, t_hi = t[None, :-1], t[None, 1:]
-    cell = pw(s_hi - t_lo) + pw(s_lo - t_hi) - pw(t_hi - s_hi) - pw(s_lo - t_lo)
-    return 0.5 * float(c @ cell @ d)
-
-
-def integral_cov_kernel(f: StepFunction, g: StepFunction, H: float) -> float:
-    """Same covariance through the kernel forms, one per side of H = 1/2.
-
-    For H > 1/2 the double integral of |u-v|^{2H-2} over each cell has a
-    closed antiderivative; for H < 1/2 the boundary term plus the sum over
-    the point masses of df is evaluated with the |x|^{2H}/(2H) pieces.
-    No numerical quadrature is involved.
-    """
-    _check_h(H)
-    if H == 0.5:
-        raise DomainError("kernel forms are defined for H != 1/2")
-    s = np.asarray(f.breakpoints)
-    t = np.asarray(g.breakpoints)
-    c = np.asarray(f.levels)
-    d = np.asarray(g.levels)
-    twoH = 2 * H
-
-    def pw(x):
-        return np.abs(x) ** twoH
-
-    if H > 0.5:
-        # H(2H-1) int int |u-v|^{2H-2} over [a,b]x[c,d], antiderivative twice
-        a, b = s[:-1, None], s[1:, None]
-        lo, hi = t[None, :-1], t[None, 1:]
-        cell = (pw(b - lo) - pw(a - lo) - pw(b - hi) + pw(a - hi)) / (twoH * (twoH - 1.0))
-        return H * (twoH - 1.0) * float(c @ cell @ d)
-    # H < 1/2: boundary term at the endpoint of f's support ...
-    s_end = f.end
-    term1 = 0.5 * f.end_level * float(d @ (pw(s_end - t[:-1]) - pw(s_end - t[1:])))
-    # ... plus the point masses of df at s_0, ..., s_{m-1}
-    jumps = np.diff(c, prepend=0.0)  # c_i - c_{i-1}, c_{-1} = 0
-    inner = pw(s[:-1, None] - t[None, 1:]) - pw(s[:-1, None] - t[None, :-1])
-    term2 = 0.5 * float(jumps @ inner @ d)
-    return term1 + term2

@@ -184,7 +184,7 @@ def beta_poly_coeffs(model: CarfimaModel) -> tuple[float, ...]:
     return (1.0, *model.beta)[::-1]
 
 
-def eigen_structure(sys: CompanionSystem, model: CarfimaModel) -> EigenStructure:
+def eigen_structure(model: CarfimaModel) -> EigenStructure:
     """Eigenvalues of A as roots of alpha(z), with residue weights.
 
     Sets distinct=False (instead of raising) when the minimum pairwise
@@ -248,6 +248,4 @@ class ModelParts:
 
 
 def prepare(model: CarfimaModel) -> ModelParts:
-    sys = build_companion(model)
-    es = eigen_structure(sys, model)
-    return ModelParts(model=model, sys=sys, es=es)
+    return ModelParts(model=model, sys=build_companion(model), es=eigen_structure(model))

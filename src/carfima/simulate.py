@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .acf import autocovariance
+from .acf import _write_csv, autocovariance
 from .errors import DomainError
 from .fgn import _toeplitz_rows, simulate_fgn
-from .model import CarfimaModel, ModelParts, prepare, stationary_mean
+from .model import CarfimaModel, prepare, stationary_mean
 
 
 @dataclass(frozen=True)
@@ -51,22 +51,18 @@ class SamplePath:
     def n(self) -> int:
         return len(self.values)
 
-    def to_csv(self, path, sidecar: bool = True, model: CarfimaModel | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "y"])
-            for i, y in enumerate(self.values, start=1):
-                w.writerow([repr(i * self.step_h), repr(float(y))])
-        if sidecar:
-            meta = {
-                "model": model.to_dict() if model is not None else None,
-                "h": self.step_h,
-                "n": self.n,
-                "seed": self.seed,
-                "method": self.method,
-            }
-            with open(str(path) + ".meta.json", "w") as fh:
-                json.dump(meta, fh, indent=2)
+    def to_csv(self, path, model: CarfimaModel | None = None) -> None:
+        """Write "t,y" rows, t = h, 2h, ..., and the metadata to path + ".meta.json"."""
+        _write_csv(path, ["t", "y"], (np.arange(1, self.n + 1) * self.step_h, self.values))
+        meta = {
+            "model": model.to_dict() if model is not None else None,
+            "h": self.step_h,
+            "n": self.n,
+            "seed": self.seed,
+            "method": self.method,
+        }
+        with open(str(path) + ".meta.json", "w") as fh:
+            json.dump(meta, fh, indent=2)
 
 
 def read_path_csv(path) -> tuple[np.ndarray, float]:
@@ -86,12 +82,7 @@ def read_path_csv(path) -> tuple[np.ndarray, float]:
 
 
 def exact_gaussian_paths(
-    model: CarfimaModel,
-    n: int,
-    step_h: float,
-    n_paths: int,
-    seed: int,
-    parts: ModelParts | None = None,
+    model: CarfimaModel, n: int, step_h: float, n_paths: int, seed: int
 ) -> np.ndarray:
     """(n_paths, n) matrix of independent exact stationary paths.
 
@@ -105,26 +96,20 @@ def exact_gaussian_paths(
         raise DomainError("n and n_paths must be >= 1")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        table = autocovariance(model, np.arange(n) * step_h, method="auto", parts=parts)
+        table = autocovariance(model, np.arange(n) * step_h, method="auto")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return stationary_mean(model) + _toeplitz_rows(table.values, n_paths, rng)
 
 
-def simulate_exact(model: CarfimaModel, n: int, step_h: float, seed: int,
-                   parts: ModelParts | None = None) -> SamplePath:
+def simulate_exact(model: CarfimaModel, n: int, step_h: float, seed: int) -> SamplePath:
     """One exact stationary path of length n with sampling step step_h."""
-    values = exact_gaussian_paths(model, n, step_h, 1, seed, parts)[0]
+    values = exact_gaussian_paths(model, n, step_h, 1, seed)[0]
     return SamplePath(values=values, step_h=step_h, model_hash=model.model_hash(),
                       seed=seed, method="exact_gaussian")
 
 
 def simulate_state_euler(
-    model: CarfimaModel,
-    n: int,
-    step_h: float,
-    substeps: int,
-    seed: int,
-    parts: ModelParts | None = None,
+    model: CarfimaModel, n: int, step_h: float, substeps: int, seed: int
 ) -> SamplePath:
     """Path from discretizing the state equation with fGn increments.
 
@@ -138,7 +123,7 @@ def simulate_state_euler(
         raise DomainError(f"n must be >= 1, got {n}")
     if substeps < 1:
         raise DomainError(f"substeps must be >= 1, got {substeps}")
-    parts = parts or prepare(model)
+    parts = prepare(model)
     if not parts.stationary:
         raise DomainError("state simulation requires a stationary model")
     p = model.p

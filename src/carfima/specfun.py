@@ -10,8 +10,9 @@ and z = -l*h with Re(l) < 0.  Three evaluation regimes cover the plane:
   axis (far from the branch cut on the negative reals);
 * the divergent asymptotic series of Gamma(a, z) for large |z|.
 
-Adaptive quadrature along the radial segment is the fallback and the
-independent oracle used by the tests.
+The kernel oracle is 30-digit mpmath: the tests check the kernel and the
+stable products e^{v} P(a, v) and e^{w} (1 - P(a, w)) against
+mpmath.gammainc.
 
 u_{H,l}(h) combines exp(+-l h) with P(2H, +-l h).  The growing factor
 exp(-l h) is never formed on its own: it is absorbed into the continued
@@ -24,13 +25,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
-from dataclasses import dataclass
 
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gamma as gamma_fn
 
-from .errors import ConvergenceError, DomainError, OverflowGuardError, QuadratureError
+from .errors import ConvergenceError, DomainError
 
 # Series are trusted while |z| <= SERIES_MAX_ABS and the cancellation
 # exponent |z| - |Re z| stays below SERIES_MAX_CANCEL (roundoff blow-up
@@ -44,15 +42,6 @@ U_KERNEL_ASYM_SWITCH = 50.0
 
 _MAX_SERIES_TERMS = 700
 _MAX_CF_ITER = 20000
-
-
-@dataclass(frozen=True)
-class RadialGammaResult:
-    """Value of P(a, z) along the radial line, with evaluation metadata."""
-
-    value: complex
-    terms_used: int
-    method: str  # series | continued_fraction | asymptotic | quadrature
 
 
 def complex_power(base, exponent: float) -> complex:
@@ -141,91 +130,6 @@ def _pick_method(z: complex) -> str:
     return "continued_fraction"
 
 
-def lower_gamma_P(a: float, z) -> RadialGammaResult:
-    """Normalized lower incomplete gamma along the radial line from 0 to z.
-
-    Parameters
-    ----------
-    a : positive shape parameter.
-    z : complex endpoint; the integration path is the segment [0, z].
-
-    Falls back to radial quadrature if the selected expansion stalls.
-    """
-    if a <= 0:
-        raise DomainError(f"a must be positive, got {a}")
-    z = complex(z)
-    if z == 0:
-        return RadialGammaResult(0j, 0, "series")
-    method = _pick_method(z)
-    try:
-        if method == "series":
-            if z.real >= 0:
-                value, n = _series_kummer(a, z)
-            else:
-                value, n = _series_direct(a, z)
-        elif method == "continued_fraction":
-            f, n = _upper_cf_factor(a, z)
-            value = 1.0 - cmath.exp(-z) * complex_power(z, a) * f / gamma_fn(a)
-        else:
-            s, n = _upper_asym_factor(a, z)
-            value = 1.0 - cmath.exp(-z) * complex_power(z, a - 1.0) * s / gamma_fn(a)
-    except ConvergenceError:
-        return RadialGammaResult(lower_gamma_P_quadrature(a, z), -1, "quadrature")
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ConvergenceError(f"P({a}, {z}) evaluated non-finite by {method}")
-    if z.imag == 0.0 and z.real > 0.0:
-        # analytically P is real in [0, 1] on the positive axis
-        value = complex(min(max(value.real, 0.0), 1.0), 0.0)
-    return RadialGammaResult(value, n, method)
-
-
-def lower_gamma_P_quadrature(a: float, z, epsrel: float = 1e-12) -> complex:
-    """P(a, z) by adaptive quadrature of the radial-line integral.
-
-    Substituting u = z t, t = v^{1/a} removes the endpoint singularity:
-    P(a, z) = z^a / (a Gamma(a)) * int_0^1 exp(-z v^{1/a}) dv.
-    """
-    if a <= 0:
-        raise DomainError(f"a must be positive, got {a}")
-    z = complex(z)
-    if z == 0:
-        return 0j
-    inv_a = 1.0 / a
-
-    def integrand(v, part):
-        w = cmath.exp(-z * v**inv_a)
-        return w.real if part == 0 else w.imag
-
-    with warnings.catch_warnings():
-        # the explicit error-sum check below is the accuracy guard
-        warnings.simplefilter("ignore", IntegrationWarning)
-        re, re_err = quad(integrand, 0.0, 1.0, args=(0,), epsabs=1e-250,
-                          epsrel=epsrel, limit=500)
-        im, im_err = quad(integrand, 0.0, 1.0, args=(1,), epsabs=1e-250,
-                          epsrel=epsrel, limit=500)
-    total = complex(re, im)
-    if re_err + im_err > 1e-8 * max(abs(total), 1e-290):
-        raise QuadratureError(f"radial quadrature for P({a}, {z}) above tolerance")
-    return complex_power(z, a) / (a * gamma_fn(a)) * total
-
-
-def upper_gamma(a: float, z) -> complex:
-    """Incomplete Gamma(a, z), consistent with the radial-line P.
-
-    Satisfies P(a, z) + Gamma(a, z)/Gamma(a) = 1 exactly; for Re z >= 0 the
-    complement is evaluated directly so no precision is lost when P is
-    close to one.
-    """
-    if a <= 0:
-        raise DomainError(f"a must be positive, got {a}")
-    z = complex(z)
-    if z == 0:
-        return complex(gamma_fn(a))
-    if z.real >= 0:
-        return gamma_fn(a) * cmath.exp(-z) * _exp_q_product(a, z)
-    return gamma_fn(a) * (1.0 - lower_gamma_P(a, z).value)
-
-
 def _exp_p_product(a: float, v: complex) -> complex:
     """e^v P(a, v) for Re v <= 0, stable for all |v|."""
     if v == 0:
@@ -260,7 +164,7 @@ def _exp_q_product(a: float, w: complex) -> complex:
     return complex_power(w, a - 1.0) * s / gamma_fn(a)
 
 
-def u_kernel(H: float, lam, h: float, allow_asymptotic: bool = True) -> complex:
+def u_kernel(H: float, lam, h: float) -> complex:
     """Scalar kernel of the autocovariance eigen-expansion.
 
     u = 2(-l)^{1-2H} cosh(l h) + l^{1-2H} e^{l h} P(2H, l h)
@@ -269,8 +173,7 @@ def u_kernel(H: float, lam, h: float, allow_asymptotic: bool = True) -> complex:
     assembled as (-l)^{1-2H} e^{l h} + l^{1-2H} [e^{l h} P(2H, l h)] +
     (-l)^{1-2H} [e^{-l h} (1 - P(2H, -l h))] so that no factor overflows.
 
-    For |l h| > 50 the expansion through the gamma-tail odd terms is used;
-    with allow_asymptotic=False that range raises OverflowGuardError.
+    For |l h| > 50 the expansion through the gamma-tail odd terms is used.
     """
     if not 0.0 < H < 1.0:
         raise DomainError(f"H must lie in (0, 1), got {H}")
@@ -288,10 +191,6 @@ def u_kernel(H: float, lam, h: float, allow_asymptotic: bool = True) -> complex:
             pow_neg * cmath.exp(z)
             + pow_pos * _exp_p_product(a, z)
             + pow_neg * _exp_q_product(a, -z)
-        )
-    if not allow_asymptotic:
-        raise OverflowGuardError(
-            f"|lambda*h| = {abs(z):.3g} beyond guarded range and asymptotics disabled"
         )
     pow_pos = complex_power(lam, 1.0 - a)
     expz = cmath.exp(z) if z.real > -745.0 else 0j

@@ -8,7 +8,6 @@ spectral density against the autocovariance routes.
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 from dataclasses import dataclass
@@ -19,9 +18,9 @@ from scipy.integrate import quad
 from scipy.special import digamma
 from scipy.special import gamma as gamma_fn
 
-from .acf import acf_carma, acf_closed_form, acf_integral_form
+from .acf import _write_csv, acf_carma, acf_closed_form, acf_integral_form
 from .errors import DomainError, QuadratureError, TailBoundTooLooseError
-from .model import CarfimaModel, ModelParts, alpha_poly_coeffs, is_stationary, prepare
+from .model import CarfimaModel, alpha_poly_coeffs, is_stationary, prepare
 
 DEFAULT_ALIAS_K = 64
 DEFAULT_BRACKET_RTOL = 1e-2
@@ -57,13 +56,10 @@ class SpectrumTable:
         values.setflags(write=False)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["omega", "f", "kind", "h", "K"])
-            h = "" if self.step_h is None else repr(float(self.step_h))
-            k = "" if self.truncation_K is None else str(self.truncation_K)
-            for om, val in zip(self.omegas, self.values):
-                w.writerow([repr(float(om)), repr(float(val)), self.kind, h, k])
+        h = "" if self.step_h is None else repr(float(self.step_h))
+        k = "" if self.truncation_K is None else str(self.truncation_K)
+        _write_csv(path, ["omega", "f", "kind", "h", "K"], (self.omegas, self.values),
+                   [self.kind, h, k])
 
 
 def _even_odd(coeffs) -> tuple[np.ndarray, np.ndarray]:
@@ -153,14 +149,14 @@ def _front_constant(H: float, sigma: float = 1.0) -> float:
     return sigma**2 * gamma_fn(2 * H + 1) * math.sin(math.pi * H) / (2 * math.pi)
 
 
-def spectral_density(model: CarfimaModel, omega, parts: ModelParts | None = None):
+def spectral_density(model: CarfimaModel, omega):
     """Spectral density f_Y(omega) of the continuous-time process.
 
     At omega = 0 the density is 0 for H < 1/2, the classical CARMA value
     for H = 1/2, and a genuine singularity for H > 1/2 reported as inf.
     Accepts scalars or arrays.
     """
-    parts = parts or prepare(model)
+    parts = prepare(model)
     if not parts.stationary:
         raise DomainError("spectral density requires a stationary model")
     w = np.asarray(omega, dtype=float)
@@ -329,12 +325,11 @@ def spectrum_table(
     kind: str = "continuous",
     step_h: float | None = None,
     K: int = DEFAULT_ALIAS_K,
-    parts: ModelParts | None = None,
 ) -> SpectrumTable:
     """Tabulate f_Y or the aliased f_h on a frequency grid."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     if kind == "continuous":
-        values = spectral_density(model, omegas, parts)
+        values = spectral_density(model, omegas)
         return SpectrumTable(omegas=omegas, values=values, kind=kind)
     if kind != "aliased":
         raise DomainError(f"unknown spectrum kind {kind!r}")
@@ -347,10 +342,7 @@ def spectrum_table(
 
 
 def fourier_consistency_check(
-    model: CarfimaModel,
-    lag_grid=(0.0, 1.0, 5.0),
-    tolerance: float = 1e-4,
-    parts: ModelParts | None = None,
+    model: CarfimaModel, lag_grid=(0.0, 1.0, 5.0), tolerance: float = 1e-4
 ) -> dict:
     """Cosine transform of the spectral density versus the ACF routes.
 
@@ -364,7 +356,7 @@ def fourier_consistency_check(
     kappa = 1.0 / (2.0 - 2.0 * H)
     split = 1.0
 
-    parts = parts or prepare(model)
+    parts = prepare(model)
     ratio = _ratio_sq(*_alpha_factors(parts.es.lambdas), model.beta)
 
     def gamma_hat(h: float) -> float:
@@ -400,7 +392,7 @@ def fourier_consistency_check(
         route = acf_closed_form
     else:
         route = acf_integral_form
-    reference = route(model, np.array(lags), parts).tolist()
+    reference = route(model, np.array(lags)).tolist()
     transformed = [gamma_hat(h) for h in lags]
     scale = max(abs(g) for g in reference)
     devs = [abs(a - b) / max(abs(b), 1e-6 * scale) for a, b in zip(transformed, reference)]

@@ -1,0 +1,114 @@
+"""Test oracles: independent routes that only the tests call.
+
+* V* from its defining integral, by quadrature, against the Lyapunov solve;
+* the covariance of two step-function fBm integrals, by the increment
+  double sum and by the kernel forms (one for each side of H = 1/2).
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.integrate import quad
+from scipy.linalg import expm
+
+from carfima import CarfimaModel, DomainError
+from carfima.acf import _decay_horizon
+from carfima.fgn import _check_h
+
+
+def vstar_integral(sys, model: CarfimaModel, rtol: float = 1e-12) -> np.ndarray:
+    """V* from its defining integral, by quadrature.  Test oracle only."""
+    U = _decay_horizon(sys.A, rtol=1e-16)
+    p = model.p
+
+    def cell(i, j):
+        def f(u):
+            g = expm(sys.A * u) @ sys.delta_p
+            return g[i] * g[j]
+
+        val, err = quad(f, 0.0, U, epsabs=1e-14, epsrel=rtol, limit=400)
+        return val
+
+    V = np.array([[cell(i, j) for j in range(p)] for i in range(p)])
+    return model.sigma**2 * 0.5 * (V + V.T)
+
+
+@dataclass(frozen=True)
+class StepFunction:
+    """Piecewise-constant function c_i on (s_i, s_{i+1}], zero elsewhere."""
+
+    breakpoints: tuple[float, ...]
+    levels: tuple[float, ...]
+
+    def __post_init__(self):
+        bp = tuple(float(s) for s in self.breakpoints)
+        lv = tuple(float(c) for c in self.levels)
+        if len(bp) != len(lv) + 1 or len(lv) < 1:
+            raise DomainError("need m+1 breakpoints for m >= 1 levels")
+        if any(nxt <= prv for prv, nxt in zip(bp[:-1], bp[1:])):
+            raise DomainError("breakpoints must be strictly ascending")
+        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "levels", lv)
+
+    @property
+    def end(self) -> float:
+        return self.breakpoints[-1]
+
+    @property
+    def end_level(self) -> float:
+        return self.levels[-1]
+
+
+def integral_cov_direct(f: StepFunction, g: StepFunction, H: float) -> float:
+    """Covariance of the two step-function fBm integrals by the increment
+    double sum (valid for every 0 < H < 1)."""
+    _check_h(H)
+    s = np.asarray(f.breakpoints)
+    t = np.asarray(g.breakpoints)
+    c = np.asarray(f.levels)
+    d = np.asarray(g.levels)
+    twoH = 2 * H
+
+    def pw(x):
+        return np.abs(x) ** twoH
+
+    s_lo, s_hi = s[:-1, None], s[1:, None]
+    t_lo, t_hi = t[None, :-1], t[None, 1:]
+    cell = pw(s_hi - t_lo) + pw(s_lo - t_hi) - pw(t_hi - s_hi) - pw(s_lo - t_lo)
+    return 0.5 * float(c @ cell @ d)
+
+
+def integral_cov_kernel(f: StepFunction, g: StepFunction, H: float) -> float:
+    """Same covariance through the kernel forms, one per side of H = 1/2.
+
+    For H > 1/2 the double integral of |u-v|^{2H-2} over each cell has a
+    closed antiderivative; for H < 1/2 the boundary term plus the sum over
+    the point masses of df is evaluated with the |x|^{2H}/(2H) pieces.
+    No numerical quadrature is involved.
+    """
+    _check_h(H)
+    if H == 0.5:
+        raise DomainError("kernel forms are defined for H != 1/2")
+    s = np.asarray(f.breakpoints)
+    t = np.asarray(g.breakpoints)
+    c = np.asarray(f.levels)
+    d = np.asarray(g.levels)
+    twoH = 2 * H
+
+    def pw(x):
+        return np.abs(x) ** twoH
+
+    if H > 0.5:
+        # H(2H-1) int int |u-v|^{2H-2} over [a,b]x[c,d], antiderivative twice
+        a, b = s[:-1, None], s[1:, None]
+        lo, hi = t[None, :-1], t[None, 1:]
+        cell = (pw(b - lo) - pw(a - lo) - pw(b - hi) + pw(a - hi)) / (twoH * (twoH - 1.0))
+        return H * (twoH - 1.0) * float(c @ cell @ d)
+    # H < 1/2: boundary term at the endpoint of f's support ...
+    s_end = f.end
+    term1 = 0.5 * f.end_level * float(d @ (pw(s_end - t[:-1]) - pw(s_end - t[1:])))
+    # ... plus the point masses of df at s_0, ..., s_{m-1}
+    jumps = np.diff(c, prepend=0.0)  # c_i - c_{i-1}, c_{-1} = 0
+    inner = pw(s[:-1, None] - t[None, 1:]) - pw(s[:-1, None] - t[None, :-1])
+    term2 = 0.5 * float(jumps @ inner @ d)
+    return term1 + term2

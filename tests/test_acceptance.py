@@ -23,8 +23,6 @@ from carfima import (
     exact_gaussian_paths,
     fit,
     fourier_consistency_check,
-    integral_cov_direct,
-    integral_cov_kernel,
     prepare,
     simulate_state_euler,
     spectrum_table,
@@ -35,6 +33,7 @@ from carfima.acf import _eigen_coeffs
 from carfima.simulate import SamplePath
 
 from conftest import car1, model_from_eigenvalues, random_stable_model
+from oracles import integral_cov_direct, integral_cov_kernel
 from test_fgn import random_step
 
 H_SET = (0.1, 0.3, 0.55, 0.7, 0.9)
@@ -65,8 +64,8 @@ def test_criterion_01_closed_form_vs_quadrature():
         parts = prepare(m)
         assert parts.stationary and parts.es.distinct
         for h in lags:
-            c = acf_closed_form(m, h, parts)
-            q = acf_integral_form(m, h, parts)
+            c = acf_closed_form(m, h)
+            q = acf_integral_form(m, h)
             worst = max(worst, abs(c - q) / max(abs(c), 1e-10))
     elapsed = time.perf_counter() - t0
     passed = worst < 1e-6 and elapsed < 60
@@ -83,7 +82,7 @@ def test_criterion_02_carma_reduction():
     for _ in range(8):
         m = random_stable_model(rng, H=0.5)
         parts = prepare(m)
-        V = vstar(parts.sys, m).Vstar
+        V = vstar(m).Vstar
         coeffs = _eigen_coeffs(m, parts.es)
         for h in (0.0, 0.5, 1.0, 2.0):
             mat = float(parts.sys.beta_vec @ expm(parts.sys.A * h) @ V
@@ -164,10 +163,9 @@ def test_criterion_05_antipersistence_integral():
     H = m.H
     g0 = acf_closed_form(m, 0.0)
     T = 1e4
-    parts = prepare(m)
     body = 0.0
     for a, b in ((0.0, 10.0), (10.0, 100.0), (100.0, T)):
-        val, _ = quad(lambda h: acf_closed_form(m, h, parts), a, b, limit=400)
+        val, _ = quad(lambda h: acf_closed_form(m, h), a, b, limit=400)
         body += val
     # integral of the power-law tail beyond T
     tail = acf_tail_asymptote(m, T) * T / (1.0 - 2.0 * H)
@@ -224,11 +222,10 @@ def test_criterion_07_monte_carlo_fidelity():
 def test_criterion_08_simulator_cross_check():
     t0 = time.perf_counter()
     m = car1(0.7)
-    parts = prepare(m)
     n, reps = 4096, 24
-    exact = exact_gaussian_paths(m, n, 1.0, reps, seed=515, parts=parts)
+    exact = exact_gaussian_paths(m, n, 1.0, reps, seed=515)
     euler = np.stack([
-        simulate_state_euler(m, n, 1.0, 8, seed=9000 + r, parts=parts).values
+        simulate_state_euler(m, n, 1.0, 8, seed=9000 + r).values
         for r in range(reps)
     ])
     # marginal KS on subsampled values: the iid test is invalid on raw
@@ -313,7 +310,7 @@ def test_criterion_10_lyapunov_residual():
     worst = 0.0
     for m in MODELS_20:
         parts = prepare(m)
-        V = vstar(parts.sys, m).Vstar
+        V = vstar(m).Vstar
         resid = np.max(np.abs(
             parts.sys.A @ V + V @ parts.sys.A.T
             + m.sigma**2 * np.outer(parts.sys.delta_p, parts.sys.delta_p)))

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import warnings
@@ -23,39 +24,36 @@ from carfima import (
     cov_y0_fbm,
     prepare,
     vstar,
-    vstar_integral,
 )
 import carfima.acf
 from carfima.acf import AcfTable
 from carfima.fgn import simulate_fgn
 
 from conftest import car1, model_from_eigenvalues, random_stable_model
+from oracles import vstar_integral
 
 
 class TestVstar:
     def test_scalar_ou(self):
         m = car1(0.5)
-        parts = prepare(m)
-        assert vstar(parts.sys, m).Vstar[0, 0] == pytest.approx(0.5)
+        assert vstar(m).Vstar[0, 0] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("a,sigma", [(1.0, 1.0), (0.5, 2.0), (3.0, 0.7)])
     def test_scalar_general(self, a, sigma):
         m = car1(0.5, a1=-a, sigma=sigma)
-        parts = prepare(m)
-        assert vstar(parts.sys, m).Vstar[0, 0] == pytest.approx(sigma**2 / (2 * a))
+        assert vstar(m).Vstar[0, 0] == pytest.approx(sigma**2 / (2 * a))
 
     def test_kronecker_matches_integral_oracle(self):
         m = CarfimaModel(p=2, q=0, alpha=(0.0, -2.0, -3.0), beta=(), H=0.5, sigma=1.0)
-        parts = prepare(m)
-        V = vstar(parts.sys, m).Vstar
-        Vq = vstar_integral(parts.sys, m)
+        V = vstar(m).Vstar
+        Vq = vstar_integral(prepare(m).sys, m)
         assert np.max(np.abs(V - Vq)) < 1e-8
 
     def test_psd_and_residual(self, rng):
         for _ in range(10):
             m = random_stable_model(rng)
             parts = prepare(m)
-            V = vstar(parts.sys, m).Vstar
+            V = vstar(m).Vstar
             assert np.min(np.linalg.eigvalsh(V)) > -1e-10 * np.max(np.abs(V))
             resid = parts.sys.A @ V + V @ parts.sys.A.T \
                 + m.sigma**2 * np.outer(parts.sys.delta_p, parts.sys.delta_p)
@@ -64,19 +62,17 @@ class TestVstar:
     def test_singular_lyapunov(self):
         # eigenvalues exactly +-1: lambda_i + lambda_j = 0, Kronecker system singular
         m = CarfimaModel(p=2, q=0, alpha=(0.0, 1.0, 0.0), beta=(), H=0.5, sigma=1.0)
-        parts = prepare(m)
         with pytest.raises(SingularLyapunovError):
-            vstar(parts.sys, m)
+            vstar(m)
 
 
     def test_singular_lyapunov_warning_stays_inside(self):
         # scipy warns about the perturbed system; the residual check is the guard
         m = CarfimaModel(p=2, q=0, alpha=(0.0, 1.0, 0.0), beta=(), H=0.5, sigma=1.0)
-        parts = prepare(m)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularLyapunovError):
-                vstar(parts.sys, m)
+                vstar(m)
 
 
 class TestLagArrays:
@@ -91,19 +87,18 @@ class TestLagArrays:
         cases = ((acf_closed_form, m, 0.0), (acf_integral_form, m, 0.0),
                  (acf_carma, m_half, 1e-14))
         for route, model, rel in cases:
-            parts = prepare(model)
-            got = route(model, hs, parts)
+            got = route(model, hs)
             assert isinstance(got, np.ndarray) and got.shape == hs.shape
-            scalar = np.array([route(model, float(h), parts) for h in hs])
+            scalar = np.array([route(model, float(h)) for h in hs])
             if rel:
                 assert np.all(np.abs(got - scalar) <= rel * np.abs(scalar))
             else:
                 assert np.array_equal(got, scalar)
-            zero_d = route(model, np.array(hs[0]), parts)
+            zero_d = route(model, np.array(hs[0]))
             assert type(zero_d) is float and zero_d == got[0]
             bad = np.insert(hs, min(neg_at, len(hs)), -0.25)
             with pytest.raises(DomainError):
-                route(model, bad, parts)
+                route(model, bad)
 
     def test_carma_cross_check_bites(self, monkeypatch):
         m = model_from_eigenvalues([-1.0, -2.0], q=1, beta=(0.5,), H=0.5)
@@ -119,9 +114,9 @@ class TestLagArrays:
         calls = []
         route = carfima.acf.acf_closed_form
 
-        def spy(model, lags, parts=None):
+        def spy(model, lags):
             calls.append(len(lags))
-            return route(model, lags, parts)
+            return route(model, lags)
 
         monkeypatch.setattr(carfima.acf, "acf_closed_form", spy)
         table = autocovariance(car1(0.7), np.arange(5.0))
@@ -139,10 +134,9 @@ class TestClosedForm:
     def test_matches_quadrature_per_lag(self, rng):
         for _ in range(6):
             m = random_stable_model(rng)
-            parts = prepare(m)
             for h in (0.0, 0.1, 1.0, 5.0):
-                c = acf_closed_form(m, h, parts)
-                q = acf_integral_form(m, h, parts)
+                c = acf_closed_form(m, h)
+                q = acf_integral_form(m, h)
                 assert abs(c - q) <= 1e-6 * max(abs(c), 1e-10)
 
     def test_near_half_continuity(self):
@@ -163,10 +157,9 @@ class TestClosedForm:
 
     def test_complex_eigenvalues_give_real_values(self):
         m = model_from_eigenvalues([-0.4 + 1.8j, -0.4 - 1.8j], q=1, beta=(0.3,), H=0.3)
-        parts = prepare(m)
         for h in (0.0, 0.5, 2.0, 9.0):
-            c = acf_closed_form(m, h, parts)
-            q = acf_integral_form(m, h, parts)
+            c = acf_closed_form(m, h)
+            q = acf_integral_form(m, h)
             assert abs(c - q) <= 1e-6 * max(abs(c), 1e-10)
 
 
@@ -174,11 +167,11 @@ class TestIntegralForm:
     def test_carma_case_matches_matrix_form(self, rng):
         for _ in range(4):
             m = random_stable_model(rng, H=0.5)
-            parts = prepare(m)
-            V = vstar(parts.sys, m).Vstar
+            sys = prepare(m).sys
+            V = vstar(m).Vstar
             for h in (0.0, 0.7, 3.0):
-                direct = parts.sys.beta_vec @ expm(parts.sys.A * h) @ V @ parts.sys.beta_vec
-                assert acf_integral_form(m, h, parts) == pytest.approx(direct, rel=1e-8)
+                direct = sys.beta_vec @ expm(sys.A * h) @ V @ sys.beta_vec
+                assert acf_integral_form(m, h) == pytest.approx(direct, rel=1e-8)
 
     def test_large_lag_negative_for_antipersistent(self):
         m = car1(0.3)
@@ -196,8 +189,7 @@ class TestCarma:
 
     def test_eigen_form_agreement_p2(self):
         m = model_from_eigenvalues([-1.0, -2.0], H=0.5)
-        parts = prepare(m)
-        got = acf_carma(m, 0.0, parts)
+        got = acf_carma(m, 0.0)
         # sigma^2 sum_i beta(l)beta(-l)/(alpha'(l)alpha(-l)) at h=0
         eig = 0.0
         for lam in (-1.0, -2.0):
@@ -336,10 +328,11 @@ class TestAutocovarianceTable:
         t = autocovariance(car1(0.7), [0.0, 0.5, 1.0])
         f = tmp_path / "acf.csv"
         t.to_csv(f)
-        back = AcfTable.from_csv(f, model_hash=t.model_hash)
-        assert np.array_equal(back.lags, t.lags)
-        assert np.array_equal(back.values, t.values)
-        assert back.method == t.method
+        with open(f, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert np.array_equal([float(r["lag"]) for r in rows], t.lags)
+        assert np.array_equal([float(r["gamma"]) for r in rows], t.values)
+        assert {r["method"] for r in rows} == {t.method}
 
     def test_table_rejects_bad_dominance(self):
         with pytest.raises(CarfimaError):

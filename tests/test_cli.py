@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -170,11 +171,13 @@ class TestVerifyCommand:
 
     def test_verify_repeated_eigenvalues(self, tmp_path, capsys):
         # alpha = (0, -1, -2): double root at -1, too close for the closed form,
-        # so the Fourier check takes its reference from quadrature
+        # so the Fourier check takes its reference from quadrature; the note
+        # is the one report of that route, and no warning repeats it
         m = CarfimaModel(p=2, q=0, alpha=(0.0, -1.0, -2.0), beta=(), H=0.3, sigma=1.0)
         mf = tmp_path / "m.json"
         mf.write_text(m.to_json())
-        with pytest.warns(UserWarning, match="repeated eigenvalues"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rc = main(["verify", "--model", str(mf), "--lags", "0:2:0.5",
                        "--mc-paths", "600", "--mc-n", "128",
                        "--out", str(tmp_path / "rep.json")])

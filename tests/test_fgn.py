@@ -6,17 +6,15 @@ from scipy.linalg import toeplitz
 
 from carfima import (
     DomainError,
-    StepFunction,
     autocovariance,
     fbm_cov,
     fgn_autocovariance,
-    integral_cov_direct,
-    integral_cov_kernel,
     simulate_fgn,
 )
 from carfima.fgn import _circulant_rows, _cholesky_rows
 
 from conftest import car1
+from oracles import StepFunction, integral_cov_direct, integral_cov_kernel
 
 
 def random_step(rng, max_pieces=6, span=5.0):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -16,7 +17,9 @@ from carfima import (
     prepare,
     stationary_mean,
 )
+import carfima
 from carfima.model import alpha_poly_coeffs
+from carfima.specfun import u_kernel
 
 from conftest import car1, model_from_eigenvalues, random_stable_model
 
@@ -72,7 +75,7 @@ class TestCharPoly:
 class TestEigenStructure:
     def test_scalar(self):
         m = car1(0.5)
-        es = eigen_structure(build_companion(m), m)
+        es = eigen_structure(m)
         assert es.lambdas == pytest.approx([-1.0])
         assert es.residues == pytest.approx([1.0])
         assert es.distinct
@@ -80,7 +83,7 @@ class TestEigenStructure:
     def test_factored_quadratic(self):
         # alpha(z) = (z+1)(z+2): residues beta/alpha' at -1, -2 are 1 and -1
         m = model_from_eigenvalues([-1.0, -2.0])
-        es = eigen_structure(build_companion(m), m)
+        es = eigen_structure(m)
         got = sorted(zip(es.lambdas.real, es.residues.real))
         assert got[0][0] == pytest.approx(-2.0)
         assert got[0][1] == pytest.approx(-1.0)
@@ -90,7 +93,7 @@ class TestEigenStructure:
     def test_repeated_root_flagged(self):
         # alpha(z) = (z+1)^2
         m = CarfimaModel(p=2, q=0, alpha=(0.0, -1.0, -2.0), beta=(), H=0.5, sigma=1.0)
-        es = eigen_structure(build_companion(m), m)
+        es = eigen_structure(m)
         assert not es.distinct
 
     def test_roots_match_dense_eigensolver(self, rng):
@@ -237,3 +240,13 @@ class TestModelValidation:
             m2 = CarfimaModel.from_json(s)
             assert m2 == m
             assert m2.model_hash() == m.model_hash()
+
+
+class TestPublicSurface:
+    def test_calls_take_the_model_not_its_derived_parts(self):
+        # each call derives what it needs from the model itself, so no caller
+        # can pair a model with the companion system or eigenvalues of another
+        funcs = [getattr(carfima, name) for name in carfima.__all__]
+        for fn in [f for f in funcs if inspect.isfunction(f)] + [u_kernel]:
+            params = set(inspect.signature(fn).parameters)
+            assert not params & {"parts", "sys", "allow_asymptotic"}, fn.__name__

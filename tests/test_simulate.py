@@ -82,7 +82,7 @@ class TestExactSimulator:
     def test_factorization_failure_is_fatal(self, monkeypatch):
         from carfima.acf import AcfTable
 
-        def bad_autocov(model, lags, method="auto", parts=None):
+        def bad_autocov(model, lags, method="auto"):
             vals = np.full(len(lags), -1.0)
             vals[0] = 1.0
             return AcfTable(lags=np.asarray(lags, dtype=float), values=vals,

@@ -1,26 +1,60 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
-from carfima import DomainError, OverflowGuardError
+from carfima import DomainError
 from carfima.specfun import (
     _exp_p_product,
     _exp_q_product,
-    _series_direct,
+    _pick_method,
     _series_kummer,
     _upper_asym_factor,
     _upper_cf_factor,
     complex_power,
-    lower_gamma_P,
-    lower_gamma_P_quadrature,
     u_kernel,
-    upper_gamma,
 )
 
 A_GRID = (0.2, 0.8, 1.4, 1.9)
+
+# digits of the mpmath oracle
+MP_DPS = 30
+
+
+def mp_exp_p(a: float, v: complex) -> complex:
+    """e^v P(a, v), formed directly in MP_DPS-digit arithmetic."""
+    with mp.workdps(MP_DPS):
+        v = mp.mpc(v)
+        return complex(mp.exp(v) * mp.gammainc(a, 0, v, regularized=True))
+
+
+def mp_exp_q(a: float, w: complex) -> complex:
+    """e^w (1 - P(a, w)) = e^w Gamma(a, w)/Gamma(a) in MP_DPS-digit arithmetic."""
+    with mp.workdps(MP_DPS):
+        w = mp.mpc(w)
+        return complex(mp.exp(w) * mp.gammainc(a, w, regularized=True))
+
+
+def mp_u_kernel(H: float, lam: complex, h: float) -> complex:
+    """The kernel (-l)^e e^z + l^e e^z P(2H, z) + (-l)^e e^{-z} (1 - P(2H, -z)),
+    e = 1 - 2H, z = l h, in MP_DPS-digit arithmetic.
+
+    Every term stays polynomially sized, so the digits go to the
+    cancellation between the two gamma terms at large |z| (about log10 |z|),
+    not to exp(|z|).
+    """
+    with mp.workdps(MP_DPS):
+        a = mp.mpf(2.0 * H)
+        lam = mp.mpc(lam)
+        z = lam * mp.mpf(h)
+        e = 1 - a
+        value = ((-lam) ** e * mp.exp(z)
+                 + lam**e * mp.exp(z) * mp.gammainc(a, 0, z, regularized=True)
+                 + (-lam) ** e * mp.exp(-z) * mp.gammainc(a, -z, regularized=True))
+        return complex(value)
 
 
 class TestComplexPower:
@@ -46,44 +80,45 @@ class TestComplexPower:
 
 
 class TestLowerGammaP:
+    """P(a, z) through the stable products the kernel uses:
+    e^z P(a, z) for Re z <= 0 and e^z (1 - P(a, z)) for Re z >= 0."""
+
     def test_at_zero(self):
-        r = lower_gamma_P(1.3, 0.0)
-        assert r.value == 0j
+        assert _exp_p_product(1.3, 0j) == 0j
+        assert _exp_q_product(1.3, 0j) == 1.0
 
     def test_exponential_case(self):
-        # P(1, z) = 1 - e^{-z}
+        # P(1, z) = 1 - e^{-z}, so e^z P = e^z - 1 and e^z (1 - P) = 1
         for z in (2.0, -1.5, 1 + 2j, -3 + 0.5j):
-            r = lower_gamma_P(1.0, z)
-            assert r.value == pytest.approx(1 - cmath.exp(-z), rel=1e-12)
-
-    def test_negative_axis_against_quadrature_oracle(self):
-        # radial line along the negative reals, a = 1.4, z = -3
-        oracle = lower_gamma_P_quadrature(1.4, -3.0)
-        assert oracle == pytest.approx(-8.860891607993745 - 27.271020226616688j, rel=1e-12)
-        got = lower_gamma_P(1.4, -3.0)
-        assert got.value == pytest.approx(oracle, rel=1e-10)
+            z = complex(z)
+            if z.real <= 0:
+                assert _exp_p_product(1.0, z) == pytest.approx(cmath.exp(z) - 1, rel=1e-12)
+            else:
+                assert _exp_q_product(1.0, z) == pytest.approx(1.0, rel=1e-12)
 
     def test_real_nonnegative_z_in_unit_interval(self):
         for a in A_GRID:
             for z in (0.3, 2.0, 11.0, 37.0):
-                v = lower_gamma_P(a, z).value
-                assert v.imag == 0.0
-                assert 0.0 <= v.real <= 1.0
+                q = _exp_q_product(a, complex(z))
+                assert q.imag == 0.0
+                assert 0.0 <= 1.0 - math.exp(-z) * q.real <= 1.0
 
     @pytest.mark.parametrize("a", A_GRID)
     def test_oracle_agreement_across_plane(self, a):
-        # every production method region against the radial quadrature
+        # every evaluation regime against 30-digit mpmath
         for rad in (0.5, 3.0, 8.0, 15.0, 25.0, 35.0, 45.0, 50.0):
             for deg in (0, 30, 60, 85, 95, 120, 150, 180):
                 z = rad * cmath.exp(1j * math.radians(deg))
-                got = lower_gamma_P(a, z).value
-                ref = lower_gamma_P_quadrature(a, z)
-                assert abs(got - ref) <= 1e-10 * max(abs(ref), 1e-280), (a, rad, deg)
+                if z.real <= 0:
+                    got, ref = _exp_p_product(a, z), mp_exp_p(a, z)
+                else:
+                    got, ref = _exp_q_product(a, z), mp_exp_q(a, z)
+                assert abs(got - ref) <= 1e-10 * abs(ref), (a, rad, deg)
 
     def test_method_regions_used(self):
-        assert lower_gamma_P(0.8, 3.0).method == "series"
-        assert lower_gamma_P(0.8, 30j).method == "continued_fraction"
-        assert lower_gamma_P(0.8, 45.0).method == "asymptotic"
+        assert _pick_method(3.0 + 0j) == "series"
+        assert _pick_method(30j) == "continued_fraction"
+        assert _pick_method(45.0 + 0j) == "asymptotic"
 
     def test_methods_agree_in_overlap(self):
         # points where two expansions are both well-conditioned
@@ -100,49 +135,34 @@ class TestLowerGammaP:
         asym = 1.0 - cmath.exp(-z) * complex_power(z, a - 1) * srs / gamma_fn(a)
         assert cf == pytest.approx(asym, rel=1e-11)
 
-    def test_series_budget_falls_back_to_quadrature(self, monkeypatch):
-        import carfima.specfun as sf
-
-        monkeypatch.setattr(sf, "_MAX_SERIES_TERMS", 3)
-        r = lower_gamma_P(1.4, -3.0)
-        assert r.method == "quadrature"
-        assert r.value == pytest.approx(lower_gamma_P_quadrature(1.4, -3.0), rel=1e-10)
-
-    def test_nonpositive_a_rejected(self):
-        with pytest.raises(DomainError):
-            lower_gamma_P(0.0, 1.0)
-        with pytest.raises(DomainError):
-            lower_gamma_P_quadrature(-0.5, 1.0)
-
 
 class TestUpperGamma:
+    """Gamma(a, z) = Gamma(a) e^{-z} [e^z (1 - P(a, z))]."""
+
     def test_at_zero(self):
-        assert upper_gamma(2.0, 0.0) == pytest.approx(1.0)
+        assert gamma_fn(2.0) * _exp_q_product(2.0, 0j) == pytest.approx(1.0)
 
     def test_exponential_integral(self):
-        assert upper_gamma(1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-13)
+        upper = math.exp(-1.0) * _exp_q_product(1.0, 1.0 + 0j)
+        assert upper == pytest.approx(math.exp(-1.0), rel=1e-13)
 
     def test_recursion_identity(self, rng):
-        # Gamma(a+1, z) = a Gamma(a, z) + z^a e^{-z}
+        # Gamma(a+1, z) = a Gamma(a, z) + z^a e^{-z}; times e^z / Gamma(a+1) it
+        # reads q(a+1) = q(a) + z^a / Gamma(a+1) for the upper product and
+        # p(a+1) = p(a) - z^a / Gamma(a+1) for the lower one
         worst = 0.0
         for _ in range(150):
             a = float(rng.uniform(0.1, 2.4))
             z = complex(rng.uniform(-20, 20), rng.uniform(-20, 20))
-            lhs = upper_gamma(a + 1, z)
-            rhs = a * upper_gamma(a, z) + complex_power(z, a) * cmath.exp(-z)
+            step = complex_power(z, a) / gamma_fn(a + 1)
+            if z.real >= 0:
+                lhs = _exp_q_product(a + 1, z)
+                rhs = _exp_q_product(a, z) + step
+            else:
+                lhs = _exp_p_product(a + 1, z)
+                rhs = _exp_p_product(a, z) - step
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-290))
         assert worst < 1e-10
-
-    def test_complement_identity_is_exact(self, rng):
-        # P + Gamma(a, z)/Gamma(a) = 1 in floating point, both half-planes
-        for _ in range(60):
-            a = float(rng.uniform(0.1, 2.4))
-            z = complex(rng.uniform(-30, 30), rng.uniform(-30, 30))
-            if z == 0:
-                continue
-            p = lower_gamma_P(a, z).value
-            q = upper_gamma(a, z) / gamma_fn(a)
-            assert abs(p + q - 1.0) <= 1e-12 * max(1.0, abs(p))
 
 
 class TestStableProducts:
@@ -159,17 +179,15 @@ class TestStableProducts:
         assert v == pytest.approx(ref, rel=1e-2)
 
     def test_products_match_naive_in_safe_range(self, rng):
-        # Re w kept small enough that the reference 1 - P(a, w) is itself
-        # well conditioned (Q ~ e^{-Re w})
+        # the naive products e^v P(a, v) and e^w (1 - P(a, w)), formed
+        # directly in 30-digit arithmetic
         for _ in range(40):
             a = float(rng.uniform(0.1, 2.0))
             v = complex(-rng.uniform(0.1, 5.0), rng.uniform(-15, 15))
-            naive = cmath.exp(v) * lower_gamma_P_quadrature(a, v)
-            assert _exp_p_product(a, v) == pytest.approx(naive, rel=1e-9)
+            assert _exp_p_product(a, v) == pytest.approx(mp_exp_p(a, v), rel=1e-9)
             w = -v
-            naive_q = cmath.exp(w) * (1 - lower_gamma_P_quadrature(a, w))
             got = _exp_q_product(a, w)
-            assert abs(got - naive_q) <= 1e-9 * max(abs(got), 1e-250)
+            assert abs(got - mp_exp_q(a, w)) <= 1e-9 * max(abs(got), 1e-250)
 
 
 class TestUKernel:
@@ -223,11 +241,23 @@ class TestUKernel:
             assert interp_err < 1e-3  # no jump beyond the local slope
 
     def test_overflow_guard(self):
-        with pytest.raises(OverflowGuardError):
-            u_kernel(0.3, -1.0, 1000.0, allow_asymptotic=False)
-        # with the asymptotic branch enabled the same point is fine
-        v = u_kernel(0.3, -1.0, 1000.0)
-        assert np.isfinite(v.real)
+        # e^{-lam h} alone overflows beyond |lam h| = 709; the kernel never forms it
+        for h in (1000.0, 1e5):
+            v = u_kernel(0.3, -1.0, h)
+            assert np.isfinite(v.real) and np.isfinite(v.imag)
+
+    @pytest.mark.parametrize("band", [(0.1, 1.0, 4.5), (7.0, 20.0, 45.0),
+                                      (55.0, 120.0, 800.0)],
+                             ids=["series_band", "cf_band", "asymptotic_band"])
+    def test_mpmath_oracle(self, band):
+        # |lam h| <= 5, 5-50 and 50-800 (beyond the asymptotic switch), at
+        # four angles of lam, on both sides of H = 1/2
+        for H in (0.15, 0.35, 0.65, 0.85):
+            for lam in (-1.0, -0.3 + 1.7j, -2.0 - 0.5j, -0.05 + 1.0j):
+                for r in band:
+                    h = r / abs(lam)
+                    got, ref = u_kernel(H, lam, h), mp_u_kernel(H, lam, h)
+                    assert abs(got - ref) <= 1e-10 * abs(ref), (H, lam, h)
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
