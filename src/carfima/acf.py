@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -35,27 +35,12 @@ from .errors import (
     RepeatedEigenvaluesError,
     SingularLyapunovError,
 )
-from .model import CarfimaModel, build_companion, char_poly_eval, prepare
+from .model import CarfimaModel, char_poly_eval, prepare
 from .specfun import u_kernel
-
-# Near the CARMA point the kernel formula cancels badly; dispatch to the
-# exact H = 1/2 route inside this band.
-CARMA_DISPATCH_BAND = 1e-6
 
 LYAPUNOV_RESIDUAL_RTOL = 1e-8
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-11, limit=400)
-
-
-@dataclass(frozen=True)
-class StationaryStateCov:
-    """Stationary covariance V* of the state vector at H = 1/2."""
-
-    Vstar: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "Vstar", np.asarray(self.Vstar, dtype=float))
-        self.Vstar.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -102,11 +87,14 @@ def _write_csv(path, header, columns, constants=()) -> None:
             w.writerow([*(repr(float(x)) for x in row), *constants])
 
 
-def vstar(model: CarfimaModel) -> StationaryStateCov:
-    """Solve A V* + V* A' = -sigma^2 delta_p delta_p' by Bartels-Stewart."""
-    sys = build_companion(model)
-    A = sys.A
-    Q = (model.sigma**2) * np.outer(sys.delta_p, sys.delta_p)
+def vstar(model: CarfimaModel) -> np.ndarray:
+    """Stationary state covariance V* at H = 1/2, as a read-only array.
+
+    Solves A V* + V* A' = -sigma^2 delta_p delta_p' by Bartels-Stewart.
+    """
+    parts = prepare(model)
+    A = parts.A
+    Q = (model.sigma**2) * np.outer(parts.delta_p, parts.delta_p)
     with warnings.catch_warnings():
         # when lambda_i + lambda_j = 0 scipy perturbs the system and warns;
         # the residual check below is what rejects such a solution
@@ -118,7 +106,8 @@ def vstar(model: CarfimaModel) -> StationaryStateCov:
         raise SingularLyapunovError(
             f"Lyapunov residual {resid:.3e} exceeds {LYAPUNOV_RESIDUAL_RTOL:.0e}*sigma^2"
         )
-    return StationaryStateCov(Vstar=V)
+    V.setflags(write=False)
+    return V
 
 
 def _decay_horizon(A, rtol: float = 1e-14, weight_exp: float = 0.0) -> float:
@@ -194,15 +183,15 @@ def acf_integral_form(model: CarfimaModel, h):
     h = _lag_array(h)
     parts = _stationary_parts(model)
     H = model.H
-    A = parts.sys.A
-    V = vstar(model).Vstar
-    bA = parts.sys.beta_vec @ A
-    Vb = V @ parts.sys.beta_vec
+    A = parts.A
+    V = vstar(model)
+    bA = parts.beta_vec @ A
+    Vb = V @ parts.beta_vec
 
     def phi(s):
         return bA @ expm(A * s) @ Vb
 
-    scale = abs(float(parts.sys.beta_vec @ V @ parts.sys.beta_vec))
+    scale = abs(float(parts.beta_vec @ V @ parts.beta_vec))
     U = _decay_horizon(A, rtol=1e-15, weight_exp=max(2 * H - 1, 0.0))
 
     def at(x):
@@ -216,10 +205,10 @@ def acf_integral_form(model: CarfimaModel, h):
     return _like_lags([at(x) for x in h.flat], h)
 
 
-def _eigen_coeffs(model: CarfimaModel, es) -> np.ndarray:
-    """Weights beta(l) beta(-l) / (alpha'(l) alpha(-l)) per eigenvalue."""
-    out = np.empty(len(es.lambdas), dtype=complex)
-    for i, lam in enumerate(es.lambdas):
+def _eigen_coeffs(model: CarfimaModel, lambdas: np.ndarray) -> np.ndarray:
+    """Weights beta(l) beta(-l) / (alpha'(l) alpha(-l)) per eigenvalue l."""
+    out = np.empty(len(lambdas), dtype=complex)
+    for i, lam in enumerate(lambdas):
         _, a1, b_pos = char_poly_eval(model, lam)
         a_neg, _, b_neg = char_poly_eval(model, -lam)
         out[i] = b_pos * b_neg / (a1 * a_neg)
@@ -236,13 +225,13 @@ def acf_closed_form(model: CarfimaModel, h):
     """
     h = _lag_array(h)
     parts = _stationary_parts(model)
-    if not parts.es.distinct:
+    if not parts.distinct:
         raise RepeatedEigenvaluesError(
             "eigenvalues too close for the closed form; use acf_integral_form"
         )
     H = model.H
-    coeffs = _eigen_coeffs(model, parts.es)
-    kernels = [[u_kernel(H, lam, x) for lam in parts.es.lambdas] for x in h.flat]
+    coeffs = _eigen_coeffs(model, parts.lambdas)
+    kernels = [[u_kernel(H, lam, x) for lam in parts.lambdas] for x in h.flat]
     # per-lag sums in scalar complex arithmetic, so an array call rounds as scalar calls do
     total = np.array([sum(c * k for c, k in zip(coeffs, row)) for row in kernels],
                      dtype=complex) * (0.5 * model.sigma**2 * gamma_fn(2 * H + 1))
@@ -268,14 +257,14 @@ def acf_carma(model: CarfimaModel, h):
     if model.H != 0.5:
         raise DomainError("acf_carma requires H = 1/2 exactly")
     parts = _stationary_parts(model)
-    V = vstar(model).Vstar
-    b = parts.sys.beta_vec
+    V = vstar(model)
+    b = parts.beta_vec
     hs = h.reshape(-1)
-    mat_form = b @ expm(parts.sys.A[None] * hs[:, None, None]) @ V @ b
-    if parts.es.distinct:
-        coeffs = _eigen_coeffs(model, parts.es)
+    mat_form = b @ expm(parts.A[None] * hs[:, None, None]) @ V @ b
+    if parts.distinct:
+        coeffs = _eigen_coeffs(model, parts.lambdas)
         eig_form = model.sigma**2 * np.sum(
-            coeffs * np.exp(parts.es.lambdas * hs[:, None]), axis=1)
+            coeffs * np.exp(parts.lambdas * hs[:, None]), axis=1)
         scale = np.maximum(np.abs(mat_form), np.abs(eig_form))
         bad = np.abs(mat_form - eig_form) > 1e-9 * scale.clip(1e-12 * float(b @ V @ b))
         if np.any(bad):
@@ -311,9 +300,9 @@ def cov_y0_fbm(model: CarfimaModel, t: float) -> float:
     if t == 0:  # Y_0 against B_H(0) = 0
         return 0.0
     H = model.H
-    A = parts.sys.A
-    b = parts.sys.beta_vec
-    dp = parts.sys.delta_p
+    A = parts.A
+    b = parts.beta_vec
+    dp = parts.delta_p
 
     def psi(u):
         return b @ expm(A * u) @ dp
@@ -325,29 +314,26 @@ def cov_y0_fbm(model: CarfimaModel, t: float) -> float:
     return H * model.sigma * (shifted - plain)
 
 
-def autocovariance(model: CarfimaModel, lags, method: str = "auto") -> AcfTable:
-    """Autocovariance table on a lag grid, dispatching between routes.
+def acf_route(model: CarfimaModel) -> str:
+    """The route method="auto" takes, from the model's own H and eigenvalues.
 
-    method="auto" uses the CARMA route inside |H - 1/2| < 1e-6 (warning
-    when H is merely close to 1/2), the closed form for distinct
-    eigenvalues, and quadrature otherwise.
+    "carma_exact" at H = 1/2 exactly, "closed_form" for distinct
+    eigenvalues, and "quadrature" otherwise.
+    """
+    if model.H == 0.5:
+        return "carma_exact"
+    return "closed_form" if prepare(model).distinct else "quadrature"
+
+
+def autocovariance(model: CarfimaModel, lags, method: str = "auto") -> AcfTable:
+    """Autocovariance table on a lag grid by the route method names.
+
+    method="auto" takes acf_route(model); the table's method records the
+    route taken.
     """
     lags = np.atleast_1d(np.asarray(lags, dtype=float))
     if method == "auto":
-        if abs(model.H - 0.5) < CARMA_DISPATCH_BAND:
-            if model.H != 0.5:
-                warnings.warn(
-                    "H within 1e-6 of 1/2: using the exact CARMA route at H=1/2 "
-                    "(the fractional kernel loses precision there)",
-                    stacklevel=2,
-                )
-                model = replace(model, H=0.5)
-            method = "carma_exact"
-        elif prepare(model).es.distinct:
-            method = "closed_form"
-        else:
-            warnings.warn("repeated eigenvalues: falling back to quadrature", stacklevel=2)
-            method = "quadrature"
+        method = acf_route(model)
     routes = {"closed_form": acf_closed_form, "quadrature": acf_integral_form,
               "carma_exact": acf_carma}
     if method not in routes:

@@ -10,11 +10,11 @@ import argparse
 import json
 import math
 import sys
-import warnings
 
 import numpy as np
 
-from .acf import acf_carma, acf_closed_form, acf_integral_form, autocovariance, vstar
+from .acf import acf_carma, acf_closed_form, acf_integral_form, acf_route
+from .acf import autocovariance, vstar
 from .errors import CarfimaError, DomainError
 from .estimate import fit
 from .model import CarfimaModel, prepare, stationary_mean
@@ -28,7 +28,7 @@ def _parse_lag_grid(spec: str) -> np.ndarray:
         a, b, step = (float(x) for x in spec.split(":"))
     except ValueError as exc:
         raise DomainError(f"bad lag grid {spec!r}, expected a:b:step") from exc
-    if step <= 0 or b < a:
+    if not all(map(math.isfinite, (a, b, step))) or step <= 0 or b < a:
         raise DomainError(f"bad lag grid {spec!r}")
     n = int(math.floor((b - a) / step + 1e-9)) + 1
     return a + step * np.arange(n)
@@ -40,7 +40,7 @@ def _parse_omega_grid(spec: str) -> np.ndarray:
         a, b, count = float(a), float(b), int(count)
     except ValueError as exc:
         raise DomainError(f"bad omega grid {spec!r}, expected a:b:count") from exc
-    if count < 1 or b < a:
+    if not (math.isfinite(a) and math.isfinite(b)) or count < 1 or b < a:
         raise DomainError(f"bad omega grid {spec!r}")
     return np.linspace(a, b, count)
 
@@ -101,38 +101,38 @@ def _cmd_fit(args) -> int:
 
 def _cmd_verify(args) -> int:
     model = _load_model(args.model)
+    if args.mc_paths < 2:
+        raise DomainError(f"--mc-paths must be >= 2, got {args.mc_paths}")
     parts = prepare(model)
     if not parts.stationary:
         raise DomainError("verify requires a stationary model")
     lags = _parse_lag_grid(args.lags)
     checks = []
 
-    V = vstar(model).Vstar
+    V = vstar(model)
     resid = float(np.max(np.abs(
-        parts.sys.A @ V + V @ parts.sys.A.T
-        + model.sigma**2 * np.outer(parts.sys.delta_p, parts.sys.delta_p))))
+        parts.A @ V + V @ parts.A.T
+        + model.sigma**2 * np.outer(parts.delta_p, parts.delta_p))))
     checks.append(("lyapunov_residual", resid, 1e-8 * model.sigma**2))
 
-    if model.H == 0.5 or parts.es.distinct:
+    route = acf_route(model)
+    if route == "quadrature":
+        print("note: repeated eigenvalues, closed-form route not checked")
+    else:
         # acf_carma cross-checks the matrix and eigen forms internally
-        name, route = (("carma_vs_quadrature", acf_carma) if model.H == 0.5
-                       else ("closed_vs_quadrature", acf_closed_form))
-        ref = route(model, lags)
+        name, fn = {"carma_exact": ("carma_vs_quadrature", acf_carma),
+                    "closed_form": ("closed_vs_quadrature", acf_closed_form)}[route]
+        ref = fn(model, lags)
         quadv = acf_integral_form(model, lags)
         devs = np.abs(ref - quadv) / np.maximum(np.abs(ref), 1e-10)
         checks.append((name, devs.max(), args.tol))
-    else:
-        print("note: repeated eigenvalues, closed-form route not checked")
 
     rep = fourier_consistency_check(model, lags[:4])
     checks.append(("fourier_vs_acf", rep["max_rel_dev"], rep["tolerance"]))
 
     paths = exact_gaussian_paths(model, args.mc_n, 1.0, args.mc_paths, seed=args.seed)
     max_lag = min(20, args.mc_n - 1)
-    with warnings.catch_warnings():
-        # the note above already reports the quadrature route
-        warnings.filterwarnings("ignore", "repeated eigenvalues")
-        gam = autocovariance(model, np.arange(max_lag + 1) * 1.0)
+    gam = autocovariance(model, np.arange(max_lag + 1) * 1.0)
     emp = empirical_acf(paths, max_lag, mean=stationary_mean(model))
     se = emp.std(axis=0, ddof=1) / math.sqrt(args.mc_paths)
     z = np.abs(emp.mean(axis=0) - gam.values) / se

@@ -2,9 +2,9 @@
 
 A model is the parameter vector (alpha_0..alpha_p, beta_1..beta_q, H, sigma)
 of the stochastic differential equation driving the process.  This module
-builds the companion matrix, evaluates the characteristic polynomials,
-extracts the eigenstructure used by the closed-form autocovariance, and
-decides stationarity.
+evaluates the characteristic polynomials, decides stationarity, and
+derives in one record (prepare) the companion matrix and the eigenvalues
+that the autocovariance, spectrum and simulation routes read.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -104,58 +104,6 @@ class CarfimaModel:
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class CompanionSystem:
-    """Companion matrix A and the fixed vectors of the state-space form."""
-
-    A: np.ndarray
-    delta_p: np.ndarray
-    delta_1: np.ndarray
-    beta_vec: np.ndarray
-
-    def __post_init__(self):
-        for name in ("A", "delta_p", "delta_1", "beta_vec"):
-            arr = getattr(self, name)
-            object.__setattr__(self, name, np.asarray(arr, dtype=float))
-            getattr(self, name).setflags(write=False)
-
-
-@dataclass(frozen=True)
-class EigenStructure:
-    """Companion eigenvalues with their residue weights beta(l)/alpha'(l)."""
-
-    lambdas: np.ndarray
-    residues: np.ndarray
-    distinct: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "lambdas", np.asarray(self.lambdas, dtype=complex))
-        object.__setattr__(self, "residues", np.asarray(self.residues, dtype=complex))
-        self.lambdas.setflags(write=False)
-        self.residues.setflags(write=False)
-
-
-def build_companion(model: CarfimaModel) -> CompanionSystem:
-    """Companion-form system matrices for the state equation.
-
-    A carries ones on the superdiagonal and (alpha_1, ..., alpha_p) in its
-    last row; beta_vec is (1, beta_1, ..., beta_{p-1}) zero-padded above q.
-    """
-    p = model.p
-    A = np.zeros((p, p))
-    if p > 1:
-        A[: p - 1, 1:] = np.eye(p - 1)
-    A[p - 1, :] = model.alpha[1:]
-    delta_p = np.zeros(p)
-    delta_p[-1] = 1.0
-    delta_1 = np.zeros(p)
-    delta_1[0] = 1.0
-    beta_vec = np.zeros(p)
-    beta_vec[0] = 1.0
-    beta_vec[1 : model.q + 1] = model.beta
-    return CompanionSystem(A=A, delta_p=delta_p, delta_1=delta_1, beta_vec=beta_vec)
-
-
 def char_poly_eval(model: CarfimaModel, z: complex) -> tuple[complex, complex, complex]:
     """Evaluate alpha(z), alpha'(z) and beta(z) at a complex point.
 
@@ -184,29 +132,6 @@ def beta_poly_coeffs(model: CarfimaModel) -> tuple[float, ...]:
     return (1.0, *model.beta)[::-1]
 
 
-def eigen_structure(model: CarfimaModel) -> EigenStructure:
-    """Eigenvalues of A as roots of alpha(z), with residue weights.
-
-    Sets distinct=False (instead of raising) when the minimum pairwise
-    separation drops below EIGEN_SEPARATION_RTOL * (1 + max |lambda|);
-    the closed-form autocovariance refuses such structures.
-    """
-    lambdas = np.roots(alpha_poly_coeffs(model))
-    residues = np.empty(model.p, dtype=complex)
-    for i, lam in enumerate(lambdas):
-        _, a1, b = char_poly_eval(model, lam)
-        residues[i] = b / a1 if a1 != 0 else np.inf
-    distinct = True
-    if model.p > 1:
-        sep = np.abs(lambdas[:, None] - lambdas[None, :])
-        min_sep = np.min(sep[~np.eye(model.p, dtype=bool)])
-        scale = 1.0 + np.max(np.abs(lambdas))
-        distinct = bool(min_sep > EIGEN_SEPARATION_RTOL * scale)
-    if not np.all(np.isfinite(residues)):
-        distinct = False
-    return EigenStructure(lambdas=lambdas, residues=residues, distinct=distinct)
-
-
 def is_stationary(lambdas: np.ndarray) -> bool:
     """True iff every companion eigenvalue has strictly negative real part."""
     scale = 1.0 + float(np.max(np.abs(lambdas)))
@@ -221,31 +146,58 @@ def stationary_mean(model: CarfimaModel) -> float:
 def mean_trajectory(model: CarfimaModel, mu_x0, t: float) -> np.ndarray:
     """Mean state vector at time t >= 0 from initial mean mu_x0.
 
-    mu_{X,t} = e^{At} mu_{X,0} + (alpha_0/alpha_1) (e^{At} - I) delta_1.
+    mu_{X,t} = e^{At} mu_{X,0} + (alpha_0/alpha_1) (e^{At} - I) e_1.
     """
     if t < 0:
         raise DomainError(f"t must be >= 0, got {t}")
-    sys = build_companion(model)
     mu_x0 = np.asarray(mu_x0, dtype=float)
     if mu_x0.shape != (model.p,):
         raise DomainError(f"mu_x0 must have shape ({model.p},)")
-    eAt = expm(sys.A * t)
+    eAt = expm(prepare(model).A * t)
     ratio = model.alpha[0] / model.alpha[1]
-    return eAt @ mu_x0 + ratio * ((eAt - np.eye(model.p)) @ sys.delta_1)
+    return eAt @ mu_x0 + ratio * (eAt - np.eye(model.p))[:, 0]
 
 
 @dataclass(frozen=True)
 class ModelParts:
-    """Bundle of the derived objects most operations need together."""
+    """What prepare derives from a model: its companion form and eigenvalues.
 
-    model: CarfimaModel
-    sys: CompanionSystem
-    es: EigenStructure
-    stationary: bool = field(init=False)
+    A carries ones on the superdiagonal and (alpha_1, ..., alpha_p) in its
+    last row; beta_vec is (1, beta_1, ..., beta_{p-1}) zero-padded above q;
+    delta_p is the last unit vector.  lambdas are the roots of alpha(z), the
+    eigenvalues of A.  distinct is False when their minimum pairwise
+    separation drops below EIGEN_SEPARATION_RTOL * (1 + max |lambda|), where
+    the closed-form autocovariance refuses them; stationary is
+    is_stationary(lambdas).
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "stationary", is_stationary(self.es.lambdas))
+    A: np.ndarray
+    beta_vec: np.ndarray
+    delta_p: np.ndarray
+    lambdas: np.ndarray
+    distinct: bool
+    stationary: bool
 
 
 def prepare(model: CarfimaModel) -> ModelParts:
-    return ModelParts(model=model, sys=build_companion(model), es=eigen_structure(model))
+    """The companion form and eigenvalues of a model, as read-only arrays."""
+    p = model.p
+    A = np.zeros((p, p))
+    if p > 1:
+        A[: p - 1, 1:] = np.eye(p - 1)
+    A[p - 1, :] = model.alpha[1:]
+    delta_p = np.zeros(p)
+    delta_p[-1] = 1.0
+    beta_vec = np.zeros(p)
+    beta_vec[0] = 1.0
+    beta_vec[1 : model.q + 1] = model.beta
+    lambdas = np.asarray(np.roots(alpha_poly_coeffs(model)), dtype=complex)
+    distinct = True
+    if p > 1:
+        sep = np.abs(lambdas[:, None] - lambdas[None, :])
+        min_sep = np.min(sep[~np.eye(p, dtype=bool)])
+        distinct = bool(min_sep > EIGEN_SEPARATION_RTOL * (1.0 + np.max(np.abs(lambdas))))
+    for arr in (A, beta_vec, delta_p, lambdas):
+        arr.setflags(write=False)
+    return ModelParts(A=A, beta_vec=beta_vec, delta_p=delta_p, lambdas=lambdas,
+                      distinct=distinct, stationary=is_stationary(lambdas))

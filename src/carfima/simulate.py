@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,9 +93,7 @@ def exact_gaussian_paths(
     """
     if n < 1 or n_paths < 1:
         raise DomainError("n and n_paths must be >= 1")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        table = autocovariance(model, np.arange(n) * step_h, method="auto")
+    table = autocovariance(model, np.arange(n) * step_h, method="auto")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return stationary_mean(model) + _toeplitz_rows(table.values, n_paths, rng)
 
@@ -127,18 +124,18 @@ def simulate_state_euler(
     if not parts.stationary:
         raise DomainError("state simulation requires a stationary model")
     p = model.p
-    A = parts.sys.A
+    A = parts.A
     delta = step_h / substeps
     prop = expm(A * delta)
-    drift = np.linalg.solve(A, (prop - np.eye(p))) @ (model.alpha[0] * parts.sys.delta_p)
-    noise_vec = model.sigma * (expm(A * delta / 2.0) @ parts.sys.delta_p)
-    decay = abs(float(np.max(parts.es.lambdas.real)))
+    drift = np.linalg.solve(A, (prop - np.eye(p))) @ (model.alpha[0] * parts.delta_p)
+    noise_vec = model.sigma * (expm(A * delta / 2.0) @ parts.delta_p)
+    decay = abs(float(np.max(parts.lambdas.real)))
     burn = math.ceil(max(100.0, 20.0 / decay) / delta)
     total = burn + n * substeps
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     db = simulate_fgn(model.H, total, delta, rng)
-    x = -(model.alpha[0] / model.alpha[1]) * parts.sys.delta_1.copy()
-    beta_vec = parts.sys.beta_vec
+    x = -(model.alpha[0] / model.alpha[1]) * np.eye(p)[0]
+    beta_vec = parts.beta_vec
     out = np.empty(n)
     j = 0
     for k in range(total):

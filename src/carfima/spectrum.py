@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from scipy.special import digamma
 from scipy.special import gamma as gamma_fn
 
-from .acf import _write_csv, acf_carma, acf_closed_form, acf_integral_form
+from .acf import _write_csv, acf_carma, acf_closed_form, acf_integral_form, acf_route
 from .errors import DomainError, QuadratureError, TailBoundTooLooseError
 from .model import CarfimaModel, alpha_poly_coeffs, is_stationary, prepare
 
@@ -163,7 +163,7 @@ def spectral_density(model: CarfimaModel, omega):
     # 0^{1-2H} gives the omega = 0 values: 0, the CARMA value, or inf
     with np.errstate(divide="ignore"):
         out = (_front_constant(model.H, model.sigma) * np.abs(w) ** (1.0 - 2.0 * model.H)
-               * _ratio_sq(*_alpha_factors(parts.es.lambdas), model.beta)(w * w))
+               * _ratio_sq(*_alpha_factors(parts.lambdas), model.beta)(w * w))
     return float(out) if out.ndim == 0 else out
 
 
@@ -357,7 +357,7 @@ def fourier_consistency_check(
     split = 1.0
 
     parts = prepare(model)
-    ratio = _ratio_sq(*_alpha_factors(parts.es.lambdas), model.beta)
+    ratio = _ratio_sq(*_alpha_factors(parts.lambdas), model.beta)
 
     def gamma_hat(h: float) -> float:
         def low(v):
@@ -384,14 +384,8 @@ def fourier_consistency_check(
         return 2.0 * (i_low + i_high)
 
     lags = [float(h) for h in lag_grid]
-    # the route autocovariance(method="auto") takes: quadrature when the
-    # eigenvalues are too close for the closed form
-    if model.H == 0.5:
-        route = acf_carma
-    elif parts.es.distinct:
-        route = acf_closed_form
-    else:
-        route = acf_integral_form
+    route = {"carma_exact": acf_carma, "closed_form": acf_closed_form,
+             "quadrature": acf_integral_form}[acf_route(model)]
     reference = route(model, np.array(lags)).tolist()
     transformed = [gamma_hat(h) for h in lags]
     scale = max(abs(g) for g in reference)

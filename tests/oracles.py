@@ -16,14 +16,14 @@ from carfima.acf import _decay_horizon
 from carfima.fgn import _check_h
 
 
-def vstar_integral(sys, model: CarfimaModel, rtol: float = 1e-12) -> np.ndarray:
-    """V* from its defining integral, by quadrature.  Test oracle only."""
-    U = _decay_horizon(sys.A, rtol=1e-16)
+def vstar_integral(parts, model: CarfimaModel, rtol: float = 1e-12) -> np.ndarray:
+    """V* from its defining integral, by quadrature, given prepare(model)."""
+    U = _decay_horizon(parts.A, rtol=1e-16)
     p = model.p
 
     def cell(i, j):
         def f(u):
-            g = expm(sys.A * u) @ sys.delta_p
+            g = expm(parts.A * u) @ parts.delta_p
             return g[i] * g[j]
 
         val, err = quad(f, 0.0, U, epsabs=1e-14, epsrel=rtol, limit=400)

@@ -62,7 +62,7 @@ def test_criterion_01_closed_form_vs_quadrature():
     worst = 0.0
     for m in MODELS_20:
         parts = prepare(m)
-        assert parts.stationary and parts.es.distinct
+        assert parts.stationary and parts.distinct
         for h in lags:
             c = acf_closed_form(m, h)
             q = acf_integral_form(m, h)
@@ -82,13 +82,11 @@ def test_criterion_02_carma_reduction():
     for _ in range(8):
         m = random_stable_model(rng, H=0.5)
         parts = prepare(m)
-        V = vstar(m).Vstar
-        coeffs = _eigen_coeffs(m, parts.es)
+        V = vstar(m)
+        coeffs = _eigen_coeffs(m, parts.lambdas)
         for h in (0.0, 0.5, 1.0, 2.0):
-            mat = float(parts.sys.beta_vec @ expm(parts.sys.A * h) @ V
-                        @ parts.sys.beta_vec)
-            eig = float((m.sigma**2
-                         * np.sum(coeffs * np.exp(parts.es.lambdas * h))).real)
+            mat = float(parts.beta_vec @ expm(parts.A * h) @ V @ parts.beta_vec)
+            eig = float((m.sigma**2 * np.sum(coeffs * np.exp(parts.lambdas * h))).real)
             worst_forms = max(worst_forms, abs(mat - eig) / max(abs(mat), abs(eig)))
     # H -> 1/2 limit of the closed form, probed two-sided at 0.5 +- 1e-5:
     # the symmetric average cancels the genuine dgamma/dH term, leaving the
@@ -310,10 +308,10 @@ def test_criterion_10_lyapunov_residual():
     worst = 0.0
     for m in MODELS_20:
         parts = prepare(m)
-        V = vstar(m).Vstar
+        V = vstar(m)
         resid = np.max(np.abs(
-            parts.sys.A @ V + V @ parts.sys.A.T
-            + m.sigma**2 * np.outer(parts.sys.delta_p, parts.sys.delta_p)))
+            parts.A @ V + V @ parts.A.T
+            + m.sigma**2 * np.outer(parts.delta_p, parts.delta_p)))
         worst = max(worst, resid / m.sigma**2)
     elapsed = time.perf_counter() - t0
     passed = worst < 1e-8 and elapsed < 1

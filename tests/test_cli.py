@@ -70,6 +70,21 @@ class TestAcfCommand:
                    "--lags", "5:0:1"])
         assert rc == 1
 
+    @pytest.mark.parametrize("command, flag, spec", [
+        ("acf", "--lags", "nan:1:0.1"),
+        ("acf", "--lags", "0:1:nan"),
+        ("acf", "--lags", "0:inf:1"),
+        ("spectrum", "--omegas", "nan:1:3"),
+    ])
+    def test_non_finite_grid_is_validation_error(self, ou_file, tmp_path, capsys,
+                                                 command, flag, spec):
+        out = tmp_path / "x.csv"
+        rc = main([command, "--model", ou_file, "--out", str(out), flag, spec])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: bad ")
+        assert not out.exists()
+
     def test_bad_flag_exits_one(self, capsys):
         rc = main(["acf", "--nonsense"])
         capsys.readouterr()
@@ -187,6 +202,30 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "rep.json").read_text())
         checks = {c["check"]: c for c in report["checks"]}
         assert checks["fourier_vs_acf"]["passed"]
+
+    def test_verify_near_half(self, tmp_path, capsys):
+        # H = 0.5000001 takes the closed form at its own H in every check,
+        # and no warning reports a route
+        mf = tmp_path / "m.json"
+        mf.write_text(car1(0.5000001).to_json())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["verify", "--model", str(mf), "--lags", "0:2:0.5",
+                       "--mc-paths", "600", "--mc-n", "128",
+                       "--out", str(tmp_path / "rep.json")])
+        capsys.readouterr()
+        assert rc == 0
+        report = json.loads((tmp_path / "rep.json").read_text())
+        checks = {c["check"]: c for c in report["checks"]}
+        assert checks["closed_vs_quadrature"]["passed"]
+        assert report["passed"]
+
+    def test_verify_single_path_rejected(self, ou_file, capsys):
+        # one path gives no standard error, so the Monte Carlo check would pass vacuously
+        rc = main(["verify", "--model", ou_file, "--mc-paths", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "--mc-paths" in err
 
     def test_verify_nonstationary_rejected(self, tmp_path):
         mf = tmp_path / "m.json"

@@ -1,6 +1,9 @@
+import importlib.util
 import inspect
 import json
 import math
+from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -9,9 +12,7 @@ from scipy.linalg import expm
 from carfima import (
     CarfimaModel,
     DomainError,
-    build_companion,
     char_poly_eval,
-    eigen_structure,
     is_stationary,
     mean_trajectory,
     prepare,
@@ -24,24 +25,36 @@ from carfima.specfun import u_kernel
 from conftest import car1, model_from_eigenvalues, random_stable_model
 
 
+def _residues(m, lambdas):
+    """Residue weights beta(l) / alpha'(l) of the partial fractions of beta/alpha."""
+    values = [char_poly_eval(m, lam) for lam in lambdas]
+    return np.array([b / a1 for _, a1, b in values])
+
+
 class TestCompanion:
     def test_scalar_companion(self):
-        sys = build_companion(car1(0.5))
-        assert sys.A.tolist() == [[-1.0]]
-        assert sys.delta_p.tolist() == [1.0]
-        assert sys.beta_vec.tolist() == [1.0]
+        parts = prepare(car1(0.5))
+        assert parts.A.tolist() == [[-1.0]]
+        assert parts.delta_p.tolist() == [1.0]
+        assert parts.beta_vec.tolist() == [1.0]
 
     def test_p2_layout(self):
         m = CarfimaModel(p=2, q=1, alpha=(0.0, -2.0, -3.0), beta=(0.4,), H=0.5, sigma=1.0)
-        sys = build_companion(m)
-        assert sys.A.tolist() == [[0.0, 1.0], [-2.0, -3.0]]
-        assert sys.beta_vec.tolist() == [1.0, 0.4]
-        assert sys.delta_1.tolist() == [1.0, 0.0]
+        parts = prepare(m)
+        assert parts.A.tolist() == [[0.0, 1.0], [-2.0, -3.0]]
+        assert parts.beta_vec.tolist() == [1.0, 0.4]
+        assert parts.delta_p.tolist() == [0.0, 1.0]
 
     def test_beta_vec_zero_padded(self):
         m = CarfimaModel(p=3, q=1, alpha=(0.0, -6.0, -11.0, -6.0), beta=(0.7,),
                          H=0.3, sigma=1.0)
-        assert build_companion(m).beta_vec.tolist() == [1.0, 0.7, 0.0]
+        assert prepare(m).beta_vec.tolist() == [1.0, 0.7, 0.0]
+
+    def test_arrays_read_only(self):
+        parts = prepare(model_from_eigenvalues([-1.0, -2.0], q=1, beta=(0.5,)))
+        for arr in (parts.A, parts.beta_vec, parts.delta_p, parts.lambdas):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestCharPoly:
@@ -75,16 +88,16 @@ class TestCharPoly:
 class TestEigenStructure:
     def test_scalar(self):
         m = car1(0.5)
-        es = eigen_structure(m)
-        assert es.lambdas == pytest.approx([-1.0])
-        assert es.residues == pytest.approx([1.0])
-        assert es.distinct
+        parts = prepare(m)
+        assert parts.lambdas == pytest.approx([-1.0])
+        assert _residues(m, parts.lambdas) == pytest.approx([1.0])
+        assert parts.distinct
 
     def test_factored_quadratic(self):
         # alpha(z) = (z+1)(z+2): residues beta/alpha' at -1, -2 are 1 and -1
         m = model_from_eigenvalues([-1.0, -2.0])
-        es = eigen_structure(m)
-        got = sorted(zip(es.lambdas.real, es.residues.real))
+        lams = prepare(m).lambdas
+        got = sorted(zip(lams.real, _residues(m, lams).real))
         assert got[0][0] == pytest.approx(-2.0)
         assert got[0][1] == pytest.approx(-1.0)
         assert got[1][0] == pytest.approx(-1.0)
@@ -93,21 +106,19 @@ class TestEigenStructure:
     def test_repeated_root_flagged(self):
         # alpha(z) = (z+1)^2
         m = CarfimaModel(p=2, q=0, alpha=(0.0, -1.0, -2.0), beta=(), H=0.5, sigma=1.0)
-        es = eigen_structure(m)
-        assert not es.distinct
+        assert not prepare(m).distinct
 
     def test_roots_match_dense_eigensolver(self, rng):
         for _ in range(25):
             m = random_stable_model(rng, p_max=5)
-            sys = build_companion(m)
             roots = np.sort_complex(np.roots(alpha_poly_coeffs(m)))
-            eigs = np.sort_complex(np.linalg.eigvals(sys.A))
+            eigs = np.sort_complex(np.linalg.eigvals(prepare(m).A))
             assert np.max(np.abs(roots - eigs)) < 1e-8
 
 
 class TestStationarity:
     def test_simple_cases(self):
-        # the roots of alpha(z), as ModelParts passes them
+        # the roots of alpha(z), as prepare passes them
         assert is_stationary(np.array([-1.0]))
         assert not is_stationary(np.array([-1.0, 0.001]))
         assert is_stationary(np.array([-0.5 + 2j, -0.5 - 2j]))
@@ -149,16 +160,14 @@ class TestSpectralIdentities:
 
     def _weights(self, m):
         parts = prepare(m)
-        lams = parts.es.lambdas
-        w = parts.es.residues
-        return parts, lams, w
+        return parts, parts.lambdas, _residues(m, parts.lambdas)
 
     def test_exponential_expansion(self, rng):
         for _ in range(12):
             m = random_stable_model(rng)
             parts, lams, w = self._weights(m)
             for h in (0.0, 0.1, 0.7, 2.0, 5.0):
-                lhs = parts.sys.beta_vec @ expm(parts.sys.A * h) @ parts.sys.delta_p
+                lhs = parts.beta_vec @ expm(parts.A * h) @ parts.delta_p
                 rhs = np.sum(w * np.exp(lams * h))
                 assert abs(lhs - rhs) < 1e-8
 
@@ -167,8 +176,7 @@ class TestSpectralIdentities:
             m = random_stable_model(rng)
             parts, lams, w = self._weights(m)
             for h in (0.0, 0.1, 0.7, 2.0, 5.0):
-                lhs = (parts.sys.beta_vec @ parts.sys.A
-                       @ expm(parts.sys.A * h) @ parts.sys.delta_p)
+                lhs = parts.beta_vec @ parts.A @ expm(parts.A * h) @ parts.delta_p
                 rhs = np.sum(w * lams * np.exp(lams * h))
                 assert abs(lhs - rhs) < 1e-8
 
@@ -250,3 +258,21 @@ class TestPublicSurface:
         for fn in [f for f in funcs if inspect.isfunction(f)] + [u_kernel]:
             params = set(inspect.signature(fn).parameters)
             assert not params & {"parts", "sys", "allow_asymptotic"}, fn.__name__
+
+    def test_all_names_resolve(self):
+        # __all__ is every public name the package imports, and only those
+        for name in carfima.__all__:
+            assert not isinstance(getattr(carfima, name), ModuleType), name
+        removed = {"CompanionSystem", "EigenStructure", "build_companion",
+                   "eigen_structure", "StationaryStateCov"}
+        assert not removed & set(carfima.__all__)
+        assert "prepare" in carfima.__all__ and "autocovariance" in carfima.__all__
+
+    def test_benchmark_trace_targets_resolve(self):
+        # bench/tracing.py rebinds these names for --trace; each must exist
+        path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        for module, attr, _, _ in tracing.TARGETS:
+            assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
