@@ -23,6 +23,10 @@ from .simulate import simulate_exact, simulate_state_euler
 from .spectrum import DEFAULT_ALIAS_K, fourier_consistency_check, spectrum_table
 
 
+# most points a lag or frequency grid may have (80 MB of float64)
+MAX_GRID_POINTS = 10**7
+
+
 def _parse_lag_grid(spec: str) -> np.ndarray:
     try:
         a, b, step = (float(x) for x in spec.split(":"))
@@ -30,8 +34,10 @@ def _parse_lag_grid(spec: str) -> np.ndarray:
         raise DomainError(f"bad lag grid {spec!r}, expected a:b:step") from exc
     if not all(map(math.isfinite, (a, b, step))) or step <= 0 or b < a:
         raise DomainError(f"bad lag grid {spec!r}")
-    n = int(math.floor((b - a) / step + 1e-9)) + 1
-    return a + step * np.arange(n)
+    span = (b - a) / step  # inf when the point count overflows
+    if span >= MAX_GRID_POINTS:
+        raise DomainError(f"bad lag grid {spec!r}: more than {MAX_GRID_POINTS} points")
+    return a + step * np.arange(int(math.floor(span + 1e-9)) + 1)
 
 
 def _parse_omega_grid(spec: str) -> np.ndarray:
@@ -42,6 +48,8 @@ def _parse_omega_grid(spec: str) -> np.ndarray:
         raise DomainError(f"bad omega grid {spec!r}, expected a:b:count") from exc
     if not (math.isfinite(a) and math.isfinite(b)) or count < 1 or b < a:
         raise DomainError(f"bad omega grid {spec!r}")
+    if count > MAX_GRID_POINTS:
+        raise DomainError(f"bad omega grid {spec!r}: more than {MAX_GRID_POINTS} points")
     return np.linspace(a, b, count)
 
 

@@ -25,7 +25,7 @@ from scipy.optimize import minimize
 from .errors import DomainError
 from .model import CarfimaModel, alpha_poly_coeffs, beta_poly_coeffs, prepare
 from .simulate import SamplePath
-from .spectrum import DEFAULT_ALIAS_K, _alpha_factors, _AliasSum, _ratio_sq
+from .spectrum import DEFAULT_ALIAS_K, _alpha_factors, _AliasSum
 
 H_MIN = 0.01
 H_MAX = 0.99
@@ -178,8 +178,7 @@ def _profiled(alias: _AliasSum, ivals: np.ndarray, p: int, q: int):
 
     def evaluate(theta):
         quadratic, linear, beta, H = _split(theta, p, q)
-        ratio = _ratio_sq(quadratic, linear, beta)
-        g, _, _, dlog_g = alias.evaluate(ratio, p, beta, H, grad=True)
+        g, _, _, dlog_g = alias.evaluate(quadratic, linear, beta, H, grad=True)
         scaled = ivals / g
         s2 = float(np.mean(scaled))
         value = m * math.log(s2) + float(np.sum(np.log(g))) + m

@@ -1,9 +1,12 @@
 """Spectral density of the process and of its regularly sampled skeleton.
 
 The continuous-time density is a closed form; the sampled process has the
-folded (aliased) density, an infinite sum truncated here with a rigorous
-power-law bracket on the remainder.  A cosine-transform oracle checks the
-spectral density against the autocovariance routes.
+folded (aliased) density, an infinite sum over aliases.  The K nearest
+aliases on each side are summed term by term.  The rest is the sum of the
+leading power laws of f_Y, each summed over the aliases in closed form by
+Euler-Maclaurin, and clipped into a rigorous power-law bracket on the
+remainder.  A cosine-transform oracle checks the spectral density against
+the autocovariance routes.
 """
 
 from __future__ import annotations
@@ -22,11 +25,17 @@ from .acf import _write_csv, acf_carma, acf_closed_form, acf_integral_form, acf_
 from .errors import DomainError, QuadratureError, TailBoundTooLooseError
 from .model import CarfimaModel, alpha_poly_coeffs, is_stationary, prepare
 
-DEFAULT_ALIAS_K = 64
+DEFAULT_ALIAS_K = 16
 DEFAULT_BRACKET_RTOL = 1e-2
-# alias-sum rows per pass: at K = 64 each temporary is 256 x 129 float64
-# (~260 KB), small enough to stay in a per-core L2 cache
-_ROW_BLOCK = 256
+# alias-sum elements per pass: each temporary holds about 2^15 float64
+# (256 KB: 992 rows of 33 aliases at K = 16, 254 rows of 129 at K = 64),
+# small enough to stay in a per-core L2 cache
+_BLOCK_ELEMENTS = 2**15
+# power laws w^{-s}, w^{-s-2}, ... of f_Y summed exactly in the alias tail
+_TAIL_LAWS = 4
+# 2 zeta(5) / (2 pi)^5 bounds |B_5(t - floor t)| / 5!, the periodic
+# Bernoulli factor of the Euler-Maclaurin remainder after the B_4 term
+_EM_REMAINDER = 2 * 1.0369277551433699 / (2 * math.pi) ** 5
 
 
 @dataclass(frozen=True)
@@ -97,16 +106,32 @@ def _ratio_sq(quadratic: np.ndarray, linear: np.ndarray, beta):
     alpha(z) is the product of the factors z^2 + a z + b (rows (a, b) of
     quadratic) and z + c (entries of linear), whose moduli at z = iw are
     (b - w^2)^2 + a^2 w^2 and w^2 + c^2.  ratio(w2, grad=True) returns
-    the value and d log(value) / d theta, one array per entry of theta =
-    (log a_1, log b_1, ..., log c_1, ..., beta_1..beta_q).
+    the value, a list of basis arrays and a square matrix coef, such that
+    d log(value) / d theta_j = sum_m coef[j, m] basis[m] for theta =
+    (log a_1, log b_1, ..., log c_1, ..., beta_1..beta_q).  The value array
+    may be one of the basis arrays.
     """
     be, bo = _even_odd((1.0, *beta)[::-1])
     q = len(beta)
     sq_a, b, sq_c = quadratic[:, 0] ** 2, quadratic[:, 1], linear**2
+    # a quadratic factor's basis is 1/mod and w^2/mod, with the rows
+    # (0, -2a^2) for log a and (-2b^2, 2b) for log b; a linear factor's is
+    # 1/mod with the row -2c^2; beta_k's is d log|beta(iw)|^2 / d beta_k
+    n = 2 * len(b) + len(sq_c) + q
+    coef = np.eye(n)
+    for i, (aj, bj) in enumerate(zip(sq_a.tolist(), b.tolist())):
+        coef[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = ((0.0, -2.0 * aj), (-2.0 * bj * bj, 2.0 * bj))
+    for i, cj in enumerate(sq_c.tolist(), 2 * len(b)):
+        coef[i, i] = -2.0 * cj
 
     def ratio(w2, grad=False):
-        mods = ([(bj - w2) ** 2 + aj * w2 for aj, bj in zip(sq_a, b)]
-                + [w2 + cj for cj in sq_c])
+        mods = []
+        for aj, bj in zip(sq_a, b):
+            mod = bj - w2
+            mod *= mod
+            mod += aj * w2
+            mods.append(mod)
+        mods += [w2 + cj for cj in sq_c]
         num = 1.0
         if q:
             even, odd = _horner(be, w2), _horner(bo, w2)
@@ -118,10 +143,10 @@ def _ratio_sq(quadratic: np.ndarray, linear: np.ndarray, beta):
         value = reduce(operator.mul, invs)
         if q:
             value = num * value
-        dlogs = []
-        for aj, bj, inv in zip(sq_a, b, invs):
-            dlogs += [-2.0 * aj * w2 * inv, -2.0 * bj * (bj - w2) * inv]
-        dlogs += [-2.0 * cj * inv for cj, inv in zip(sq_c, invs[len(b):])]
+        basis = []
+        for inv in invs[: len(b)]:
+            basis += [inv, w2 * inv]
+        basis += invs[len(b):]
         # d|beta(iw)|^2 / d beta_k = 2 (-1)^floor(k/2) w^(2 ceil(k/2)) times
         # E for even k and O for odd k
         two_over_num = 2.0 / num
@@ -130,10 +155,101 @@ def _ratio_sq(quadratic: np.ndarray, linear: np.ndarray, beta):
             sign = -1.0 if (k // 2) % 2 else 1.0
             if k % 2:
                 w_pow = w_pow * w2
-            dlogs.append(sign * w_pow * (odd if k % 2 else even) * two_over_num)
-        return value, dlogs
+            basis.append(sign * w_pow * (odd if k % 2 else even) * two_over_num)
+        return value, basis, coef
 
     return ratio
+
+
+def _series_mul(x, y) -> list[float]:
+    """Taylor coefficients of x(y) y(y), both given and returned to the same length."""
+    out = [0.0] * len(x)
+    for i, xi in enumerate(x):
+        for j in range(len(x) - i):
+            out[i + j] += xi * y[j]
+    return out
+
+
+def _series_div(x, y) -> list[float]:
+    """Taylor coefficients of x(y) / y(y), both given and returned to the same length."""
+    out = list(x)
+    for n in range(len(out)):
+        for i in range(n):
+            out[n] -= out[i] * y[n - i]
+        out[n] /= y[0]
+    return out
+
+
+def _tail_laws(quadratic: np.ndarray, linear: np.ndarray, beta):
+    """(lead, r, d log lead, d r) of R(w^2) w^{2(p-q)} = lead sum_j r_j w^{-2j}.
+
+    R = |beta(iw)|^2 / |alpha(iw)|^2; the sum runs over j < _TAIL_LAWS and
+    converges for w above every root modulus.  In y = 1/w^2 it is lead
+    N(y) / D(y) with lead = beta_q^2,
+    D(y) = |alpha(iw)|^2 / w^{2p} = prod (1 + (a^2 - 2b) y + b^2 y^2) prod (1 + c^2 y)
+    and N(y) = |beta(iw)|^2 / (beta_q^2 w^{2q}), whose w^{2k} coefficient
+    in |beta(iw)|^2 is n_k = (-1)^k sum_{i+j=2k} (-1)^j beta_i beta_j.  So
+    r_0 = 1 and r_1 = sum mu^2 - sum lambda^2 over the MA roots mu and the
+    AR roots lambda.  The derivatives have one row per entry of (log a_1,
+    log b_1, ..., log c_1, ..., beta_1..beta_q); a factor F of D adds
+    -r dF / F to d r.
+    """
+    pad = [0.0] * _TAIL_LAWS
+
+    def series(*coeffs):
+        return [*coeffs, *pad][:_TAIL_LAWS]
+
+    factors, dfactors = [], []  # each factor of D, and (factor, dF) per log-coefficient
+    for a, b in quadratic.tolist():
+        factors.append(series(1.0, a * a - 2.0 * b, b * b))
+        dfactors += [(factors[-1], series(0.0, 2.0 * a * a)),
+                     (factors[-1], series(0.0, -2.0 * b, 2.0 * b * b))]
+    for c in linear.tolist():
+        factors.append(series(1.0, c * c))
+        dfactors.append((factors[-1], series(0.0, 2.0 * c * c)))
+    den = reduce(_series_mul, factors, series(1.0))
+    coeffs = (1.0, *map(float, beta))
+    q = len(beta)
+    lead = coeffs[-1] ** 2
+
+    def beta_at(i):
+        return coeffs[i] if 0 <= i <= q else 0.0
+
+    n = [(-1.0) ** k * sum((-1.0) ** j * beta_at(2 * k - j) * coeffs[j] for j in range(q + 1))
+         for k in range(q + 1)]
+    num = series(*(v / lead for v in n[::-1]))  # N(y)
+    r = _series_div(num, den)
+    dr = [[-v for v in _series_mul(r, _series_div(dF, F))] for F, dF in dfactors]
+    dlog_lead = [0.0] * (len(dr) + q)
+    if q:
+        dlog_lead[-1] = 2.0 / coeffs[-1]
+    for m in range(1, q + 1):
+        # dn_k / d beta_m = 2 (-1)^{k+m} beta_{2k-m}, and lead moves with beta_q
+        dnum = series(*(2.0 * (-1.0) ** (k + m) * beta_at(2 * k - m) / lead
+                        for k in range(q, -1, -1)))
+        if m == q:
+            dnum = [dv - v * dlog_lead[-1] for dv, v in zip(dnum, num)]
+        dr.append(_series_div(dnum, den))
+    return lead, np.array(r), np.array(dlog_lead), np.array(dr).reshape(len(dlog_lead), -1)
+
+
+def _em_coefficients(s: float) -> np.ndarray:
+    """Tail sums over u^{1-n}, n = 0..2 _TAIL_LAWS + 2, and their derivatives in s.
+
+    With t = s + 2j, sum_{i >= 0} (u + i)^{-t} is u^{-s} times row j of
+    coef[0] applied to the powers u^{1-n}: the Euler-Maclaurin integral,
+    half term and B_2 and B_4 corrections, u^{1-2j}/(t-1) + u^{-2j}/2 +
+    t u^{-2j-1}/12 - t(t+1)(t+2) u^{-2j-3}/720.  coef[1] holds the
+    derivatives of those coefficients in s.
+    """
+    coef = np.zeros((2, _TAIL_LAWS, 2 * _TAIL_LAWS + 3))
+    for j in range(_TAIL_LAWS):
+        t = s + 2.0 * j
+        coef[0, j, 2 * j : 2 * j + 5] = (1.0 / (t - 1.0), 0.5, t / 12.0, 0.0,
+                                         -t * (t + 1.0) * (t + 2.0) / 720.0)
+        coef[1, j, 2 * j : 2 * j + 5] = (-1.0 / (t - 1.0) ** 2, 0.0, 1.0 / 12.0, 0.0,
+                                         -(3.0 * t * t + 6.0 * t + 2.0) / 720.0)
+    return coef
 
 
 def _horner(coeffs: np.ndarray, x):
@@ -184,7 +300,9 @@ class _AliasSum:
     """The alias sum of f_Y over a fixed (omega grid, h, K), for any model.
 
     Holds the alias frequencies W = (omega + 2 pi k) / h, |k| <= K, as W^2
-    and log|W|, and the grid on which the tail bracket samples f_Y.
+    and log|W|; the grid on which the tail bracket samples f_Y; and, per
+    omega, the offsets u = K + 1 +- omega / (2 pi) at which the tail sums
+    sum_{i >= 0} (u + i)^{-s} start, as log u and the powers u^{1-n}.
     """
 
     def __init__(self, omegas: np.ndarray, step_h: float, K: int):
@@ -192,18 +310,25 @@ class _AliasSum:
             raise DomainError(f"K must be >= 1, got {K}")
         if step_h <= 0:
             raise DomainError(f"step_h must be positive, got {step_h}")
+        if not np.all(np.abs(omegas) <= math.pi):
+            raise DomainError("aliased spectra need every omega in [-pi, pi]")
         self.step_h = step_h
         ks = np.arange(-K, K + 1)
         W = (omegas[:, None] + 2 * math.pi * ks[None, :]) / step_h
         self.W2 = W * W
         with np.errstate(divide="ignore"):
             self.logW = 0.5 * np.log(self.W2)
+        self.row_block = max(1, _BLOCK_ELEMENTS // (2 * K + 1))
         w_min = (2 * math.pi * (K + 1) - math.pi) / step_h
         self.tail_grid2 = np.geomspace(w_min, 1e4 * w_min, 256) ** 2
-        self.w_hi = (2 * math.pi * K - math.pi) / step_h  # integral bound from x = K
-        self.w_lo = (2 * math.pi * (K + 1) + math.pi) / step_h  # from x = K + 1
+        x = omegas / (2 * math.pi)
+        u = np.stack([K + 1 + x, K + 1 - x]).reshape(1, -1)
+        self.log_u = np.log(u)
+        # u^{1-n}, n = 0, 1, ..., 2 _TAIL_LAWS + 2: the terms of the tail sums
+        self.u_powers = u ** (1.0 - np.arange(2 * _TAIL_LAWS + 3)[:, None])
+        self.u_min = K + 0.5
 
-    def __call__(self, model: CarfimaModel) -> tuple[np.ndarray, float, float]:
+    def __call__(self, model: CarfimaModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Aliased density per omega, and the bracket (tail_lo, tail_hi) on its tail.
 
         Every caller that passes a model passes this stationarity gate; the
@@ -212,75 +337,115 @@ class _AliasSum:
         roots = np.roots(alpha_poly_coeffs(model))
         if not is_stationary(roots):
             raise DomainError("aliased spectrum requires a stationary model")
-        ratio = _ratio_sq(*_alpha_factors(roots), model.beta)
-        return self.evaluate(ratio, model.p, model.beta, model.H, model.sigma)[:3]
+        return self.evaluate(*_alpha_factors(roots), model.beta, model.H, model.sigma)[:3]
 
-    def evaluate(self, ratio, p: int, beta, H: float, sigma: float = 1.0,
-                 grad: bool = False):
-        """(f, tail_lo, tail_hi, dlog_f) for a _ratio_sq of order (p, len(beta)) and H.
+    def evaluate(self, quadratic: np.ndarray, linear: np.ndarray, beta, H: float,
+                 sigma: float = 1.0, grad: bool = False):
+        """(f, tail_lo, tail_hi, dlog_f) for alpha(z)'s real factors, beta and H.
 
-        f is the truncated sum plus the midpoint of the tail bracket.  The
-        sum runs over blocks of _ROW_BLOCK rows; every element and every row
-        sum is computed exactly as over the full grid.  With grad, dlog_f
-        holds d log f / d theta per omega (one row each), for theta = the
-        ratio's parameters followed by H; the derivative rows accumulate in
-        the same pass.  Otherwise dlog_f is None.
+        f is the truncated sum plus the tail beyond K: the sum of the
+        leading power laws of f_Y, clipped into the bracket [tail_lo,
+        tail_hi] that holds the exact tail.  Every array has one entry per
+        omega.  The sum runs over blocks of rows; every element and every
+        row sum is computed exactly as over the full grid.  With grad,
+        dlog_f holds d log f / d theta per omega (one row each), for theta =
+        (log a_1, log b_1, ..., log c_1, ..., beta_1..beta_q, H); the
+        derivative sums accumulate in the same pass.  Otherwise dlog_f is
+        None.
         """
+        ratio = _ratio_sq(quadratic, linear, beta)
+        p = 2 * len(quadratic) + len(linear)
+        d = p - len(beta)
+        n_theta = p + len(beta) + 1
+        h = self.step_h
         e = 1.0 - 2.0 * H
         c = _front_constant(H, sigma)
-        rows_total = len(self.W2)
-        trunc = np.empty(rows_total)
         if grad:
-            # d log c / dH
-            dlog_c = 2.0 * digamma(2.0 * H + 1.0) + math.pi / math.tan(math.pi * H)
-            dtrunc = np.empty((rows_total, p + len(beta) + 1))
-        for start in range(0, rows_total, _ROW_BLOCK):
-            rows = slice(start, start + _ROW_BLOCK)
-            # |W|^{1-2H}; at H = 1/2 it is 1 even where W = 0
-            power = np.exp(e * self.logW[rows]) if e else 1.0
-            if not grad:
-                trunc[rows] = (c * power * ratio(self.W2[rows])).sum(axis=1)
-                continue
-            value, dlogs = ratio(self.W2[rows], grad=True)
-            term = np.multiply(power, value, out=value)  # the summand over c
-            trunc[rows] = c * term.sum(axis=1)
-            for j, dlog in enumerate(dlogs):
-                dtrunc[rows, j] = c * np.einsum("ij,ij->i", term, dlog)
-            # d |W|^{1-2H} / dH = -2 log|W| |W|^{1-2H}
-            dtrunc[rows, -1] = (dlog_c * trunc[rows]
-                                - 2.0 * c * np.einsum("ij,ij->i", term, self.logW[rows]))
-        # remainder: |k| > K aliases lie beyond w_min; f_Y there is pinched
-        # between two power laws C * w^nu with nu = 1-2H-2(p-q) < -1
-        d = p - len(beta)
-        nu = e - 2.0 * d
-        if grad:
-            tail_ratio, tail_dlogs = ratio(self.tail_grid2, grad=True)
+            tail_ratio, tail_basis, coef = ratio(self.tail_grid2, grad=True)
         else:
             tail_ratio = ratio(self.tail_grid2)
+        rows_total = len(self.W2)
+        trunc = np.empty(rows_total)
+        # with grad, per omega: the sum of the summands over c, and their
+        # sums against log|W| and against each basis array of the ratio
+        sums = np.empty((rows_total, n_theta + 1)) if grad else None
+        for start in range(0, rows_total, self.row_block):
+            rows = slice(start, start + self.row_block)
+            # |W|^{1-2H}, in place: each block allocates few temporaries; at
+            # H = 1/2 it is 1 even where W = 0
+            power = np.multiply(self.logW[rows], e) if e else np.zeros_like(self.logW[rows])
+            np.exp(power, out=power)
+            if not grad:
+                trunc[rows] = c * np.einsum("ij,ij->i", power, ratio(self.W2[rows]))
+                continue
+            value, basis, _ = ratio(self.W2[rows], grad=True)
+            term = np.multiply(power, value, out=power)
+            sums[rows, 0] = np.einsum("ij->i", term)
+            sums[rows, 1] = np.einsum("ij,ij->i", term, self.logW[rows])
+            for m, x in enumerate(basis, 2):
+                sums[rows, m] = np.einsum("ij,ij->i", term, x)
+        # remainder: the |k| > K aliases lie beyond w_min, where f_Y =
+        # c |W|^{-s} R(W^2) W^{2(p-q)} with s = 2H-1+2(p-q) > 1, and
+        # R(W^2) W^{2(p-q)} = lead sum_j r_j W^{-2j} (_tail_laws) lies between
+        # the bracket ends r_lo and r_hi; at W = 2 pi (k + x) / h the sums
+        # over k of W^{-s-2j} are (2 pi / h)^{-s-2j} Z_j, Z_j the sum over
+        # both offsets u of sum_{i >= 0} (u + i)^{-s-2j}
+        s = 2.0 * d - e
         vals = tail_ratio * self.tail_grid2 ** d
-        lead = (beta[-1] if len(beta) else 1.0) ** 2
+        lead, r, dlog_lead, dr = _tail_laws(quadratic, linear, beta)
         r_hi = max(float(vals.max()), lead) * (1 + 1e-3)
         r_lo = min(float(vals.min()), lead) * (1 - 1e-3)
-        tail_hi = 2 * c * r_hi / (2 * math.pi) * self.w_hi ** (nu + 1.0) / (-nu - 1.0)
-        tail_lo = 2 * c * r_lo / (2 * math.pi) * self.w_lo ** (nu + 1.0) / (-nu - 1.0)
-        f = trunc / self.step_h + 0.5 * (tail_hi + tail_lo)
+        base = c / h * (2 * math.pi / h) ** -s
+        rho = (h / (2 * math.pi)) ** (2 * np.arange(_TAIL_LAWS))
+        em, d_em = _em_coefficients(s)
+        # the laws' sum sum_j r_j rho_j Z_j, Z_0, and with grad the laws' sum
+        # per row of dr, and the s-derivatives of the first two
+        weights = [(r * rho) @ em, em[0]]
+        if grad:
+            weights += [*((dr * rho) @ em), (r * rho) @ d_em, d_em[0]]
+        series = np.array(weights) @ self.u_powers
+        if grad:
+            series[-2:] -= self.log_u * series[:2]
+        series *= np.exp(-s * self.log_u)  # u^{-s}
+        tail_sums = series[:, :rows_total] + series[:, rows_total:]
+        laws, Z0 = tail_sums[0], tail_sums[1]
+        # Euler-Maclaurin remainder of Z_0 after the B_4 term, for both
+        # offsets: 2 zeta(5)/(2 pi)^5 int |d^5/dt^5 (u + t)^{-s}| dt over
+        # t >= 0, at the smallest offset u_min
+        poly = s * (s + 1) * (s + 2) * (s + 3)
+        D0 = 2.0 * _EM_REMAINDER * poly * self.u_min ** (-s - 4)
+        two = base * lead * laws
+        tail_lo = base * r_lo * (Z0 - D0)
+        tail_hi = base * r_hi * (Z0 + D0)
+        if grad:
+            trunc = c * sums[:, 0]
+        f = trunc / h + np.minimum(np.maximum(two, tail_lo), tail_hi)
         if not grad:
             return f, tail_lo, tail_hi, None
-        # the bracket ends are differentiated with their argmax and argmin
-        # held fixed; H enters through c(H) and the exponent nu = 1-2H-2(p-q)
-        dlog_lead = np.zeros(dtrunc.shape[1] - 1)
-        if len(beta):
-            dlog_lead[-1] = 2.0 / beta[-1]
-
-        def dlog_end(r_vals_wins, i, w_end):
-            dlog_r = (np.array([dl[i] for dl in tail_dlogs]) if r_vals_wins
-                      else dlog_lead)
-            return np.append(dlog_r, dlog_c - 2.0 * (math.log(w_end) + 1.0 / (-nu - 1.0)))
-
-        dtail = 0.5 * (
-            tail_hi * dlog_end(vals.max() >= lead, int(np.argmax(vals)), self.w_hi)
-            + tail_lo * dlog_end(vals.min() <= lead, int(np.argmin(vals)), self.w_lo))
-        return f, tail_lo, tail_hi, (dtrunc / self.step_h + dtail) / f[:, None]
+        dlog_c = 2.0 * digamma(2.0 * H + 1.0) + math.pi / math.tan(math.pi * H)
+        # H enters through c(H) and the exponent s; ds/dH = 2
+        dlog_base = dlog_c - 2.0 * math.log(2 * math.pi / h)
+        dlaws, dZ0 = tail_sums[-2], tail_sums[-1]
+        dD0 = D0 * ((4 * s**3 + 18 * s * s + 22 * s + 6) / poly - math.log(self.u_min))
+        dtail = np.empty((rows_total, n_theta))
+        dtail[:, :-1] = base * lead * (np.outer(laws, dlog_lead) + tail_sums[2:-2].T)
+        dtail[:, -1] = dlog_base * two + 2.0 * base * lead * dlaws
+        # where the clip bites, the derivative is the bracket end's, with
+        # its argmin or argmax over the tail grid held fixed
+        for end, r_end, sign, clipped in ((tail_lo, r_lo, -1.0, two < tail_lo),
+                                          (tail_hi, r_hi, 1.0, two > tail_hi)):
+            if clipped.any():
+                i = np.argmax(sign * vals)  # the grid point that sets r_end, unless lead does
+                dlog_r = (coef @ [x[i] for x in tail_basis] if sign * (vals[i] - lead) >= 0
+                          else dlog_lead)
+                dtail[clipped, :-1] = np.outer(end[clipped], dlog_r)
+                dtail[clipped, -1] = (dlog_base * end[clipped] + 2.0 * base * r_end
+                                      * (dZ0[clipped] + sign * dD0))
+        dtrunc = np.empty((rows_total, n_theta))
+        dtrunc[:, :-1] = c * sums[:, 2:] @ coef.T
+        # d log c / dH, and d |W|^{1-2H} / dH = -2 log|W| |W|^{1-2H}
+        dtrunc[:, -1] = dlog_c * trunc - 2.0 * c * sums[:, 1]
+        return f, tail_lo, tail_hi, (dtrunc / h + dtail) / f[:, None]
 
 
 def aliased_spectrum_detail(
@@ -291,20 +456,19 @@ def aliased_spectrum_detail(
     bracket_rtol: float = DEFAULT_BRACKET_RTOL,
 ) -> AliasedValue:
     """Aliased density at one frequency with the tail bracket exposed."""
-    if not -math.pi <= omega <= math.pi:
-        raise DomainError(f"omega must lie in [-pi, pi], got {omega}")
     values, tail_lo, tail_hi = _AliasSum(np.array([float(omega)]), step_h, K)(model)
     _check_bracket(values, tail_hi - tail_lo, bracket_rtol)
-    return AliasedValue(value=float(values[0]), tail_lo=tail_lo, tail_hi=tail_hi)
+    return AliasedValue(value=float(values[0]), tail_lo=float(tail_lo[0]),
+                        tail_hi=float(tail_hi[0]))
 
 
-def _check_bracket(values: np.ndarray, width: float, rtol: float) -> None:
+def _check_bracket(values: np.ndarray, width: np.ndarray, rtol: float) -> None:
     """Raise if the tail bracket exceeds rtol of any finite aliased value."""
     loose = np.isfinite(values) & (width > rtol * np.abs(values))
     if np.any(loose):
-        value = float(values[np.argmax(loose)])
+        i = int(np.argmax(loose))
         raise TailBoundTooLooseError(
-            f"tail bracket width {width:.3e} exceeds {rtol:.1e} of value {value:.6e}"
+            f"tail bracket width {width[i]:.3e} exceeds {rtol:.1e} of value {values[i]:.6e}"
         )
 
 
@@ -326,7 +490,7 @@ def spectrum_table(
     step_h: float | None = None,
     K: int = DEFAULT_ALIAS_K,
 ) -> SpectrumTable:
-    """Tabulate f_Y or the aliased f_h on a frequency grid."""
+    """Tabulate f_Y, or the aliased f_h on a frequency grid inside [-pi, pi]."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     if kind == "continuous":
         values = spectral_density(model, omegas)

@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from carfima import CarfimaModel, read_path_csv
-from carfima.cli import build_parser, main
+from carfima.cli import MAX_GRID_POINTS, build_parser, main
 from carfima.spectrum import DEFAULT_ALIAS_K
 
 from conftest import car1, model_from_eigenvalues
@@ -83,6 +83,22 @@ class TestAcfCommand:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: bad ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, spec", [
+        ("acf", "--lags=-1e308:1e308:1", None),  # b - a overflows to inf
+        ("acf", "--lags", "0:1e300:1e-300"),  # count overflows to inf
+        ("acf", "--lags", "0:1e9:1e-3"),  # 1e12 lags
+        ("spectrum", "--omegas", "0:1:100000000"),
+    ])
+    def test_oversized_grid_is_validation_error(self, ou_file, tmp_path, capsys,
+                                                command, flag, spec):
+        out = tmp_path / "x.csv"
+        rc = main([command, "--model", ou_file, "--out", str(out), flag]
+                  + ([spec] if spec else []))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: bad ") and f"more than {MAX_GRID_POINTS}" in err
         assert not out.exists()
 
     def test_bad_flag_exits_one(self, capsys):

@@ -20,10 +20,11 @@ from carfima import (
     periodogram,
     profile_sigma2,
     simulate_exact,
+    spectral_density,
     whittle_objective,
 )
 from carfima.estimate import _alpha_coeffs, _alpha_jacobian, _profiled, _split
-from carfima.spectrum import _AliasSum
+from carfima.spectrum import DEFAULT_ALIAS_K, _AliasSum
 
 from conftest import car1, model_from_eigenvalues
 
@@ -229,35 +230,75 @@ class TestFit:
         assert r.stderr[-1] == pytest.approx(oracle, rel=0.02)
 
 
+def _draw_theta(p, data, high, seed):
+    """(q, beta, H, theta, rng) of a random CARFIMA(p, H, q) shape."""
+    q = data.draw(st.integers(0, p - 1))
+    rng = np.random.default_rng(seed)
+    beta = rng.uniform(-0.6, 0.6, q)
+    if q:
+        beta[-1] = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 0.8)
+    H = rng.uniform(0.55, 0.95) if high else rng.uniform(0.05, 0.45)
+    return q, beta, H, np.concatenate([rng.uniform(-1.5, 1.0, p), beta, [H]]), rng
+
+
+def _central_differences(fn, theta, step=1e-6):
+    return np.array([(fn(theta + step * e) - fn(theta - step * e)) / (2 * step)
+                     for e in np.eye(len(theta))])
+
+
 class TestProfiledObjective:
     @settings(derandomize=True, database=None, deadline=None, max_examples=30)
     @given(p=st.integers(1, 3), data=st.data(), high=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     def test_gradient_and_value(self, p, data, high, seed):
-        q = data.draw(st.integers(0, p - 1))
-        rng = np.random.default_rng(seed)
-        beta = rng.uniform(-0.6, 0.6, q)
-        if q:
-            beta[-1] = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 0.8)
-        H = rng.uniform(0.55, 0.95) if high else rng.uniform(0.05, 0.45)
-        theta = np.concatenate([rng.uniform(-1.5, 1.0, p), beta, [H]])
+        q, beta, H, theta, rng = _draw_theta(p, data, high, seed)
         pg = periodogram(_path(rng.standard_normal(256)))
         objective = _profiled(_AliasSum(pg.omegas, pg.step_h, 64), pg.values, p, q)
         value, grad = objective(theta)[:2]
         # central differences, tail bracket included
-        step = 1e-6
-        fd = np.array([(objective(theta + step * e)[0] - objective(theta - step * e)[0])
-                       / (2 * step) for e in np.eye(len(theta))])
+        fd = _central_differences(lambda t: objective(t)[0], theta)
         assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
         # one engine: the same value as whittle_objective after profiling
         quadratic, linear = _split(theta, p, q)[:2]
         shape = CarfimaModel(p=p, q=q, alpha=(0.0, *_alpha_coeffs(quadratic, linear)),
                              beta=tuple(beta), H=H, sigma=1.0)
         profiled = replace(shape, sigma=math.sqrt(profile_sigma2(pg, shape)))
-        assert value == pytest.approx(whittle_objective(pg, profiled), rel=1e-12)
+        assert value == pytest.approx(whittle_objective(pg, profiled, K=64), rel=1e-12)
         # the factor-to-coefficient Jacobian that maps the standard errors
         jac = _alpha_jacobian(quadratic, linear)
-        fd = np.stack([(_alpha_coeffs(*_split(theta + step * e, p, q)[:2])
-                        - _alpha_coeffs(*_split(theta - step * e, p, q)[:2])) / (2 * step)
-                       for e in np.eye(len(theta))[:p]], axis=1)
-        assert np.allclose(jac, fd, rtol=1e-6, atol=1e-8)
+        fd = _central_differences(lambda t: _alpha_coeffs(*_split(t, p, q)[:2]), theta)
+        assert np.allclose(jac, fd[:p].T, rtol=1e-6, atol=1e-8)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(p=st.integers(1, 3), data=st.data(), high=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_gradient_at_default_K(self, p, data, high, seed):
+        q, _, _, theta, rng = _draw_theta(p, data, high, seed)
+        pg = periodogram(_path(rng.standard_normal(256)))
+        objective = _profiled(_AliasSum(pg.omegas, pg.step_h, DEFAULT_ALIAS_K),
+                              pg.values, p, q)
+        grad = objective(theta)[1]
+        fd = _central_differences(lambda t: objective(t)[0], theta)
+        assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
+
+    def test_fast_root_tail_stays_in_bracket(self):
+        # CAR(1) with alpha_1 = -1e6 at h = 1: the root lies far beyond the
+        # first omitted alias (|W| = 104), the power-law series diverges far
+        # below zero (r1 = -1e12), and the bracket's lower end sets the tail
+        pg = periodogram(_path(np.random.default_rng(3).standard_normal(256)))
+        alias = _AliasSum(pg.omegas, pg.step_h, DEFAULT_ALIAS_K)
+        theta = np.array([math.log(1e6), 0.7])
+
+        def log_f(t):
+            return np.log(alias.evaluate(*_split(t, 1, 0))[0])
+
+        f, tail_lo, tail_hi, dlog_f = alias.evaluate(*_split(theta, 1, 0), grad=True)
+        ks = np.arange(-DEFAULT_ALIAS_K, DEFAULT_ALIAS_K + 1)
+        m = CarfimaModel(p=1, q=0, alpha=(0.0, -1e6), beta=(), H=0.7, sigma=1.0)
+        trunc = spectral_density(m, pg.omegas[:, None] + 2 * math.pi * ks).sum(axis=1)
+        assert np.all(np.isfinite(f)) and np.all(f > 0)
+        assert np.all(f - trunc >= tail_lo * (1 - 1e-9))
+        assert np.all(f - trunc <= tail_hi * (1 + 1e-9))
+        assert np.allclose(dlog_f, _central_differences(log_f, theta, 1e-5).T, rtol=1e-6)
+        value, grad = _profiled(alias, pg.values, 1, 0)(theta)[:2]
+        assert math.isfinite(value) and np.all(np.isfinite(grad))

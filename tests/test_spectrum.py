@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from carfima import (
+    CarfimaModel,
     DomainError,
     TailBoundTooLooseError,
     acf_carma,
@@ -108,7 +110,8 @@ class TestAliasedSpectrum:
             aliased_spectrum(car1(0.25), 1.0, 1.0, K=1, bracket_rtol=1e-6)
 
     def test_loose_bracket_raises_by_both_routes(self):
-        # at h = 1000 the tail bracket is 93% of the value at omega = 0.5
+        # at h = 1000 the first omitted alias of K = 16 sits at |W| = 0.1, below
+        # the root at 1, and the tail bracket is 27 times the value at omega = 0.5
         with pytest.raises(TailBoundTooLooseError):
             aliased_spectrum(car1(0.7), 0.5, 1000.0)
         with pytest.raises(TailBoundTooLooseError):
@@ -121,6 +124,42 @@ class TestAliasedSpectrum:
     def test_inf_at_zero_for_long_memory(self):
         d = aliased_spectrum_detail(car1(0.7), 0.0, 1.0)
         assert d.value == math.inf
+
+
+class TestAliasedTailOracle:
+    # |k| <= DIRECT summed directly, then the Hurwitz-zeta sum of the leading
+    # law c beta_q^2 |W|^{-s}, s = 2H - 1 + 2(p - q), beyond; the next law
+    # moves that remainder by under 1e-9 of itself
+    DIRECT = 20000
+    MODELS = {
+        "car1_h025": car1(0.25),
+        "car1_h070": car1(0.7),
+        "carfima_2_h030_1": CarfimaModel(p=2, q=1, alpha=(0.0, -1.0, -1.5), beta=(0.5,),
+                                         H=0.3, sigma=1.0),
+        # roots -1 and -0.5 +- 1i
+        "car3_pair": CarfimaModel(p=3, q=0, alpha=(0.0, -1.25, -2.25, -2.0), beta=(),
+                                  H=0.3, sigma=1.0),
+    }
+
+    def _reference(self, m, omegas, h):
+        ks = np.arange(-self.DIRECT, self.DIRECT + 1)
+        direct = spectral_density(m, (omegas[:, None] + 2 * math.pi * ks) / h).sum(axis=1)
+        s = 2 * m.H - 1 + 2 * (m.p - m.q)
+        lead = m.beta[-1] ** 2 if m.q else 1.0
+        scale = (m.sigma**2 * math.gamma(2 * m.H + 1) * math.sin(math.pi * m.H) / (2 * math.pi)
+                 * lead * (2 * math.pi / h) ** -s)
+        tail = [scale * float(mpmath.zeta(s, self.DIRECT + 1 + x)
+                              + mpmath.zeta(s, self.DIRECT + 1 - x))
+                for x in omegas / (2 * math.pi)]
+        return (direct + np.array(tail)) / h
+
+    @pytest.mark.parametrize("step_h", [0.1, 1.0, 5.0])
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_default_K_matches_long_sum(self, name, step_h):
+        m = self.MODELS[name]
+        omegas = np.array([-math.pi, -2.0, -0.5, 0.1, 1.0, 2.5, math.pi])
+        got = spectrum_table(m, omegas, kind="aliased", step_h=step_h).values
+        assert np.max(np.abs(got / self._reference(m, omegas, step_h) - 1)) <= 1e-9
 
 
 class TestFourierConsistency:
