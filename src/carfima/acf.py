@@ -10,7 +10,8 @@
 Each route takes a scalar lag or an array of lags and returns a float or
 an array to match.  The parts that depend on the model alone (V*, the
 eigen weights, the decay horizon and the Gamma(2H+1) prefactor) are
-computed once per call, not once per lag.
+computed once per call, not once per lag.  The closed form evaluates the
+kernel specfun.u_kernel once per eigenvalue, over the whole lag array.
 
 Also provides the stationary state covariance (Lyapunov solve), the
 power-law tail asymptote and cov(Y_0, B^H_t).
@@ -221,7 +222,10 @@ def acf_closed_form(model: CarfimaModel, h):
     Requires distinct eigenvalues; the conjugate-pair structure makes the
     complex sum real, and a residual imaginary part above
     1e-8 (|value| + sigma^2) is treated as a branch-selection bug.  The
-    eigen weights and the Gamma(2H+1) prefactor are computed once per call.
+    eigen weights and the Gamma(2H+1) prefactor are computed once per call,
+    and u_kernel runs once per eigenvalue over the whole lag array; each
+    lag's value is accumulated eigenvalue by eigenvalue, so a lag rounds the
+    same in an array call as in a call of its own.
     """
     h = _lag_array(h)
     parts = _stationary_parts(model)
@@ -230,17 +234,17 @@ def acf_closed_form(model: CarfimaModel, h):
             "eigenvalues too close for the closed form; use acf_integral_form"
         )
     H = model.H
-    coeffs = _eigen_coeffs(model, parts.lambdas)
-    kernels = [[u_kernel(H, lam, x) for lam in parts.lambdas] for x in h.flat]
-    # per-lag sums in scalar complex arithmetic, so an array call rounds as scalar calls do
-    total = np.array([sum(c * k for c, k in zip(coeffs, row)) for row in kernels],
-                     dtype=complex) * (0.5 * model.sigma**2 * gamma_fn(2 * H + 1))
+    hs = h.reshape(-1)
+    total = np.zeros(len(hs), dtype=complex)
+    for c, lam in zip(_eigen_coeffs(model, parts.lambdas), parts.lambdas):
+        total += c * u_kernel(H, lam, hs)
+    total *= 0.5 * model.sigma**2 * gamma_fn(2 * H + 1)
     bad = np.abs(total.imag) > 1e-8 * (np.abs(total) + model.sigma**2)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise CarfimaError(
             f"eigen-expansion returned imaginary residue {total[i].imag:.3e} "
-            f"at h={h.flat[i]}"
+            f"at h={hs[i]}"
         )
     return _like_lags(total.real, h)
 

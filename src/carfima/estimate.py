@@ -25,7 +25,8 @@ from scipy.optimize import minimize
 from .errors import DomainError
 from .model import CarfimaModel, alpha_poly_coeffs, beta_poly_coeffs, prepare
 from .simulate import SamplePath
-from .spectrum import DEFAULT_ALIAS_K, _alpha_factors, _AliasSum
+from .spectrum import (DEFAULT_ALIAS_K, DEFAULT_BRACKET_RTOL, _alpha_factors, _AliasSum,
+                       _check_bracket)
 
 H_MIN = 0.01
 H_MAX = 0.99
@@ -169,7 +170,8 @@ def _alpha_jacobian(quadratic, linear) -> np.ndarray:
 
 
 def _profiled(alias: _AliasSum, ivals: np.ndarray, p: int, q: int):
-    """theta -> (Q, grad Q, g, grad log g): the profiled objective and its parts.
+    """theta -> (Q, grad Q, g, grad log g, w): the profiled objective, its
+    parts, and the width w of the alias-tail bracket on g.
 
     Q = m log s2 + sum log g + m with g the aliased shape spectrum (sigma = 1)
     and s2 = mean(I / g); grad Q = sum_j (1 - I_j / (s2 g_j)) grad log g_j.
@@ -178,11 +180,11 @@ def _profiled(alias: _AliasSum, ivals: np.ndarray, p: int, q: int):
 
     def evaluate(theta):
         quadratic, linear, beta, H = _split(theta, p, q)
-        g, _, _, dlog_g = alias.evaluate(quadratic, linear, beta, H, grad=True)
+        g, tail_lo, tail_hi, dlog_g = alias.evaluate(quadratic, linear, beta, H, grad=True)
         scaled = ivals / g
         s2 = float(np.mean(scaled))
         value = m * math.log(s2) + float(np.sum(np.log(g))) + m
-        return value, (1.0 - scaled / s2) @ dlog_g, g, dlog_g
+        return value, (1.0 - scaled / s2) @ dlog_g, g, dlog_g, tail_hi - tail_lo
 
     return evaluate
 
@@ -226,7 +228,9 @@ def fit(
     Multi-starts alternate between the two H sides (start 0 unperturbed,
     the others perturbed from the seed); the best final objective wins,
     ties broken by start index.  An init of other orders or a nonstationary
-    init raises DomainError.
+    init raises DomainError.  An estimate whose alias-tail bracket exceeds
+    DEFAULT_BRACKET_RTOL of the fitted spectrum at any frequency raises
+    TailBoundTooLooseError: there the spectrum it was fitted on is clipped.
     """
     if p < 1 or not 0 <= q < p:
         raise DomainError("need p >= 1 and 0 <= q < p")
@@ -238,9 +242,15 @@ def fit(
     if not np.any(pg.values):
         raise DomainError("cannot fit a constant path: its periodogram is zero")
     profiled = _profiled(_AliasSum(pg.omegas, pg.step_h, K), pg.values, p, q)
+    m = len(pg.values)
 
+    # L-BFGS-B runs on the objective per ordinate.  Its first step is taken
+    # with a unit Hessian, so on the sum over m ordinates that step grows
+    # with m and can land on a corner of the box.  The gradient tolerance is
+    # still scipy's default, 1e-5, on the sum.
     def objective(theta):
-        return profiled(theta)[:2]
+        value, grad = profiled(theta)[:2]
+        return value / m, grad / m
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if init is not None:
@@ -269,12 +279,14 @@ def fit(
                                       [0.05 * rng.standard_normal()]])
         theta0[-1] = min(max(theta0[-1], lo + 1e-3), hi - 1e-3)
         res = minimize(objective, theta0, method="L-BFGS-B", jac=True,
-                       bounds=log_bounds + [(None, None)] * q + [(lo, hi)])
+                       bounds=log_bounds + [(None, None)] * q + [(lo, hi)],
+                       options={"gtol": 1e-5 / m})
         total_iter += res.nit
         results.append((res.fun, start, res))
-    best_fun, _, best = min(results, key=lambda r: (r[0], r[1]))
+    best = min(results, key=lambda r: (r[0], r[1]))[2]
     quadratic, linear, beta, H_hat = _split(best.x, p, q)
-    _, _, g, dlog_g = profiled(best.x)
+    best_fun, _, g, dlog_g, width = profiled(best.x)
+    _check_bracket(g, width, DEFAULT_BRACKET_RTOL)
     model_hat = CarfimaModel(p=p, q=q, alpha=(0.0, *_alpha_coeffs(quadratic, linear)),
                              beta=beta, H=H_hat,
                              sigma=math.sqrt(float(np.mean(pg.values / g))))

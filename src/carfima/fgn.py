@@ -16,13 +16,38 @@ from .errors import DomainError, FactorizationFailureError
 EMBEDDING_EIG_RTOL = 1e-10
 # relative diagonal jitters tried in turn when the Toeplitz Cholesky fails
 CHOLESKY_JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
+# binomial-series terms of the fGn covariance for |k| >= 2; at k = 2 the
+# 30th is below 1e-18 of the first
+_FGN_SERIES_TERMS = 30
 
 
-def fgn_autocovariance(H: float, k: int) -> float:
-    """Autocovariance of unit-step fractional Gaussian noise at lag k."""
+def fgn_autocovariance(H: float, k):
+    """Autocovariance of unit-step fractional Gaussian noise at lag(s) k.
+
+    k is an int or an array of ints; an int gives a float, an array an
+    array of its shape.  The second difference (k+1)^{2H} - 2 k^{2H} +
+    (k-1)^{2H} cancels catastrophically at large k, so for |k| >= 2 it is
+    summed as its binomial series k^{2H} sum_{j>=1} C(2H, 2j) k^{-2j}.
+    Every term has the sign of 2H - 1, so nothing cancels, and at H = 1/2
+    the sum is exactly 0.  At k = 1 the value is 2^{2H-1} - 1.
+    """
     _check_h(H)
-    k = abs(int(k))
-    return 0.5 * (abs(k + 1) ** (2 * H) - 2.0 * abs(k) ** (2 * H) + abs(k - 1) ** (2 * H))
+    shape = np.shape(k)
+    k = np.abs(np.asarray(k, dtype=np.int64).reshape(-1)).astype(float)
+    g = 2 * H
+    far = np.maximum(k, 2.0)
+    y = far**-2
+    coef = g * (g - 1) / 2  # C(g, 2j), from j = 1
+    coefs = []
+    for j in range(1, _FGN_SERIES_TERMS + 1):
+        coefs.append(coef)
+        coef *= (g - 2 * j) * (g - 2 * j - 1) / ((2 * j + 1) * (2 * j + 2))
+    series = 0.0
+    for c in reversed(coefs):
+        series = (series + c) * y
+    # 2^{2H-1} - 1 at k = 1, without the cancellation near H = 1/2
+    out = np.select([k >= 2, k == 1], [far**g * series, np.expm1((g - 1) * np.log(2.0))], 1.0)
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 def fbm_cov(H: float, s: float, t: float) -> float:
@@ -55,7 +80,7 @@ def simulate_fgn(H: float, n: int, dt: float, seed) -> np.ndarray:
         raise DomainError(f"n must be >= 1, got {n}")
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
-    cov = dt ** (2 * H) * np.array([fgn_autocovariance(H, k) for k in range(n)])
+    cov = dt ** (2 * H) * fgn_autocovariance(H, np.arange(n))
     return _toeplitz_rows(cov, 1, _as_rng(seed))[0]
 
 

@@ -19,13 +19,19 @@ exp(-l h) is never formed on its own: it is absorbed into the continued
 fraction / asymptotic representation of Gamma(2H, -l h), so the kernel is
 overflow-safe for every h.  Beyond |l h| = 50 the kernel switches to its
 own asymptotic expansion (the odd-order terms of the two gamma tails).
+
+Every function here takes a scalar or an array of arguments; u_kernel
+takes one eigenvalue and a lag array.  Each regime runs as one numpy pass
+over the elements that fall in it.  Its series or recursion runs term by
+term over a shrinking set of active elements (`_per_element`): an element
+leaves the set at the term where a loop over it alone would stop, and no
+(elements x terms) array is formed.  A scalar argument runs the same code
+as a 1-element array.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
-
+import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .errors import ConvergenceError, DomainError
@@ -42,130 +48,217 @@ U_KERNEL_ASYM_SWITCH = 50.0
 
 _MAX_SERIES_TERMS = 700
 _MAX_CF_ITER = 20000
+_MAX_ASYM_TERMS = 79
+_MAX_KERNEL_ORDER = 69  # odd orders 1, 3, ..., 69 of the kernel expansion
 
 
-def complex_power(base, exponent: float) -> complex:
-    """base**exponent via the principal logarithm, Im(Log) in (-pi, pi]."""
-    base = complex(base)
-    if base == 0:
-        if exponent > 0:
-            return 0j
+def _flat(x) -> np.ndarray:
+    """x as a 1-d complex array."""
+    return np.asarray(x, dtype=complex).reshape(-1)
+
+
+def _shaped(out: np.ndarray, like):
+    """A complex for a scalar argument, otherwise out in the argument's shape."""
+    shape = np.shape(like)
+    return complex(out[0]) if shape == () else out.reshape(shape)
+
+
+def complex_power(base, exponent: float):
+    """base**exponent via the principal logarithm, Im(Log) in (-pi, pi].
+
+    Takes a scalar or an array of bases; 0 to a positive power is 0.
+    """
+    b = _flat(base)
+    zero = b == 0
+    if exponent <= 0 and np.any(zero):
         raise DomainError("0 cannot be raised to a nonpositive exponent")
-    return cmath.exp(exponent * cmath.log(base))
+    out = np.zeros(len(b), dtype=complex)
+    out[~zero] = np.exp(exponent * np.log(b[~zero]))
+    return _shaped(out, base)
 
 
-def _series_kummer(a: float, z: complex) -> tuple[complex, int]:
+def _per_element(step, state: tuple, n_max: int, what: str) -> np.ndarray:
+    """Run step(n, *state) for n = 1 .. n_max - 1 over the active elements.
+
+    state holds one 1-d array per loop variable, the argument first.  step
+    returns (state, done, value): the updated variables, which elements stop
+    at this n, and their results.  Stopped elements leave every state
+    array, so each element stops at the n where a loop over it alone would
+    stop.  An element still active after n_max - 1 steps raises
+    ConvergenceError.
+    """
+    out = np.empty(len(state[0]), dtype=complex)
+    idx = np.arange(len(out))
+    for n in range(1, n_max):
+        if not idx.size:
+            return out
+        state, done, value = step(n, *state)
+        if done.any():
+            out[idx[done]] = value[done]
+            keep = ~done
+            idx = idx[keep]
+            state = tuple(s[keep] for s in state)
+    if idx.size:
+        raise ConvergenceError(f"{what} did not converge at argument {state[0][0]}")
+    return out
+
+
+def _series_kummer(a: float, z) -> np.ndarray:
     """P(a, z) = z^a e^{-z} sum_n z^n / (a (a+1) ... (a+n)) / Gamma(a)."""
-    term = 1.0 / a
-    total = term
-    for n in range(1, _MAX_SERIES_TERMS):
-        term *= z / (a + n)
-        total += term
-        if abs(term) < 1e-17 * abs(total):
-            prefactor = complex_power(z, a) * cmath.exp(-z) / gamma_fn(a)
-            return prefactor * total, n
-    raise ConvergenceError(f"Kummer series for P({a}, {z}) did not converge")
+    z = _flat(z)
+
+    def step(n, z, term, total):
+        term = term * (z / (a + n))
+        total = total + term
+        return (z, term, total), np.abs(term) < 1e-17 * np.abs(total), total
+
+    first = np.full(len(z), 1.0 / a, dtype=complex)
+    total = _per_element(step, (z, first, first), _MAX_SERIES_TERMS,
+                         f"Kummer series for P({a}, z)")
+    return complex_power(z, a) * np.exp(-z) / gamma_fn(a) * total
 
 
-def _series_direct(a: float, z: complex) -> tuple[complex, int]:
+def _series_direct(a: float, z) -> np.ndarray:
     """P(a, z) = z^a sum_k (-z)^k / (k! (a+k)) / Gamma(a)."""
-    w = -z
-    t = 1.0 + 0j
-    total = 1.0 / a
-    for k in range(1, _MAX_SERIES_TERMS):
-        t *= w / k
-        total += t / (a + k)
-        if abs(t) / (a + k) < 1e-17 * abs(total):
-            return complex_power(z, a) * total / gamma_fn(a), k
-    raise ConvergenceError(f"Taylor series for P({a}, {z}) did not converge")
+    z = _flat(z)
+
+    def step(k, w, t, total):
+        t = t * (w / k)
+        total = total + t / (a + k)
+        return (w, t, total), np.abs(t) / (a + k) < 1e-17 * np.abs(total), total
+
+    ones = np.ones(len(z), dtype=complex)
+    total = _per_element(step, (-z, ones, ones / a), _MAX_SERIES_TERMS,
+                         f"Taylor series for P({a}, -w) in w")
+    return complex_power(z, a) * total / gamma_fn(a)
 
 
-def _upper_cf_factor(a: float, z: complex) -> tuple[complex, int]:
+def _upper_cf_factor(a: float, z) -> np.ndarray:
     """F with Gamma(a, z) = e^{-z} z^a F, by modified Lentz recursion."""
+    z = _flat(z)
     tiny = 1e-300
-    b = z + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0 else 1.0 / tiny
-    f = d
-    for i in range(1, _MAX_CF_ITER):
+
+    def step(i, z, b, c, d, f):
         an = -i * (i - a)
-        b += 2.0
+        b = b + 2.0
         d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d[np.abs(d) < tiny] = tiny
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
+        c[np.abs(c) < tiny] = tiny
         d = 1.0 / d
         delta = d * c
-        f *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return f, i
-    raise ConvergenceError(f"continued fraction for Gamma({a}, {z}) stalled")
+        f = f * delta
+        return (z, b, c, d, f), np.abs(delta - 1.0) < 1e-15, f
+
+    b = z + 1.0 - a
+    d = np.full(len(z), 1.0 / tiny, dtype=complex)
+    np.divide(1.0, b, out=d, where=b != 0)
+    c = np.full(len(z), 1.0 / tiny, dtype=complex)
+    return _per_element(step, (z, b, c, d, d), _MAX_CF_ITER,
+                        f"continued fraction for Gamma({a}, z)")
 
 
-def _upper_asym_factor(a: float, z: complex) -> tuple[complex, int]:
+def _upper_asym_factor(a: float, z) -> np.ndarray:
     """S with Gamma(a, z) ~ z^{a-1} e^{-z} S; truncated at the smallest term."""
-    s = 1.0 + 0j
-    term = 1.0 + 0j
-    prev = 1.0
-    for k in range(1, 80):
-        term *= (a - k) / z
-        mag = abs(term)
-        if mag > prev:
-            return s, k - 1
-        s += term
-        prev = mag
-        if mag < 1e-17 * abs(s):
-            return s, k
-    return s, 79
+    z = _flat(z)
+
+    def step(k, z, s, term, prev):
+        term = term * ((a - k) / z)
+        mag = np.abs(term)
+        grow = mag > prev
+        s_new = s + term
+        done = grow | (mag < 1e-17 * np.abs(s_new)) | (k == _MAX_ASYM_TERMS)
+        return (z, s_new, term, mag), done, np.where(grow, s, s_new)
+
+    ones = np.ones(len(z), dtype=complex)
+    return _per_element(step, (z, ones, ones, np.ones(len(z))), _MAX_ASYM_TERMS + 1,
+                        f"asymptotic series for Gamma({a}, z)")
 
 
-def _pick_method(z: complex) -> str:
-    az = abs(z)
-    if az <= SERIES_MAX_ABS and az - abs(z.real) <= SERIES_MAX_CANCEL:
-        return "series"
-    if az > ASYM_MIN_ABS:
-        return "asymptotic"
-    return "continued_fraction"
+def _pick_method(z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masks (series, continued_fraction, asymptotic) over the elements of z."""
+    z = _flat(z)
+    az = np.abs(z)
+    series = (az <= SERIES_MAX_ABS) & (az - np.abs(z.real) <= SERIES_MAX_CANCEL)
+    asym = ~series & (az > ASYM_MIN_ABS)
+    return series, ~series & ~asym, asym
 
 
-def _exp_p_product(a: float, v: complex) -> complex:
+def _exp_or_zero(v: np.ndarray) -> np.ndarray:
+    """e^v, with 0 where Re v <= -745 and e^v underflows."""
+    out = np.zeros(len(v), dtype=complex)
+    live = v.real > -745.0
+    out[live] = np.exp(v[live])
+    return out
+
+
+def _exp_p_product(a: float, v):
     """e^v P(a, v) for Re v <= 0, stable for all |v|."""
-    if v == 0:
-        return 0j
-    method = _pick_method(v)
-    if method == "series":
-        value, _ = _series_direct(a, v) if v.real < 0 else _series_kummer(a, v)
-        return cmath.exp(v) * value
-    ev = cmath.exp(v) if v.real > -745.0 else 0j
-    if method == "continued_fraction":
-        f, _ = _upper_cf_factor(a, v)
-        return ev - complex_power(v, a) * f / gamma_fn(a)
-    s, _ = _upper_asym_factor(a, v)
-    return ev - complex_power(v, a - 1.0) * s / gamma_fn(a)
+    vs = _flat(v)
+    series, cf, asym = _pick_method(vs)
+    series &= vs != 0
+    direct = series & (vs.real < 0)
+    kummer = series & ~direct
+    out = np.zeros(len(vs), dtype=complex)
+    out[direct] = np.exp(vs[direct]) * _series_direct(a, vs[direct])
+    out[kummer] = np.exp(vs[kummer]) * _series_kummer(a, vs[kummer])
+    x = vs[cf]
+    out[cf] = _exp_or_zero(x) - complex_power(x, a) * _upper_cf_factor(a, x) / gamma_fn(a)
+    x = vs[asym]
+    out[asym] = (_exp_or_zero(x)
+                 - complex_power(x, a - 1.0) * _upper_asym_factor(a, x) / gamma_fn(a))
+    return _shaped(out, v)
 
 
-def _exp_q_product(a: float, w: complex) -> complex:
+def _exp_q_product(a: float, w):
     """e^w (1 - P(a, w)) = e^w Gamma(a, w)/Gamma(a) for Re w >= 0.
 
     Only polynomially growing quantities are formed, so this stays finite
     for arbitrarily large Re w.
     """
-    if w == 0:
-        return 1.0 + 0j
-    if abs(w) <= a + 1.0:
-        value, _ = _series_kummer(a, w)
-        return cmath.exp(w) * (1.0 - value)
-    if abs(w) <= ASYM_MIN_ABS:
-        f, _ = _upper_cf_factor(a, w)
-        return complex_power(w, a) * f / gamma_fn(a)
-    s, _ = _upper_asym_factor(a, w)
-    return complex_power(w, a - 1.0) * s / gamma_fn(a)
+    ws = _flat(w)
+    aw = np.abs(ws)
+    zero = ws == 0
+    kummer = ~zero & (aw <= a + 1.0)
+    cf = ~zero & ~kummer & (aw <= ASYM_MIN_ABS)
+    asym = ~zero & ~kummer & ~cf
+    out = np.ones(len(ws), dtype=complex)
+    x = ws[kummer]
+    out[kummer] = np.exp(x) * (1.0 - _series_kummer(a, x))
+    x = ws[cf]
+    out[cf] = complex_power(x, a) * _upper_cf_factor(a, x) / gamma_fn(a)
+    x = ws[asym]
+    out[asym] = complex_power(x, a - 1.0) * _upper_asym_factor(a, x) / gamma_fn(a)
+    return _shaped(out, w)
 
 
-def u_kernel(H: float, lam, h: float) -> complex:
-    """Scalar kernel of the autocovariance eigen-expansion.
+def _kernel_expansion(a: float, z: np.ndarray, h: np.ndarray, pow_sum: complex) -> np.ndarray:
+    """u for |z| > U_KERNEL_ASYM_SWITCH: (l^{1-a} + (-l)^{1-a}) e^z plus the
+    odd-order terms of the Gamma(a, -z) and Gamma(a, z) tails, each element
+    truncated at its smallest term."""
+    coefs = [1.0]  # coefs[k] = (a-1)(a-2)...(a-k)
+    for k in range(1, _MAX_KERNEL_ORDER + 1):
+        coefs.append(coefs[-1] * (a - k))
+
+    def step(n, z, zk, s, prev):
+        k = 2 * n - 1
+        zk = zk * z if k == 1 else zk * z * z
+        term = coefs[k] / zk
+        mag = np.abs(term)
+        grow = mag > prev
+        s_new = s + term
+        done = grow | (mag < 1e-18 * np.abs(s_new)) | (k == _MAX_KERNEL_ORDER)
+        return (z, zk, s_new, mag), done, np.where(grow, s, s_new)
+
+    ones = np.ones(len(z), dtype=complex)
+    s = _per_element(step, (z, ones, np.zeros(len(z), dtype=complex),
+                            np.full(len(z), np.inf)),
+                     (_MAX_KERNEL_ORDER + 3) // 2, "kernel expansion")
+    return pow_sum * _exp_or_zero(z) + -2.0 * h ** (a - 1.0) / gamma_fn(a) * s
+
+
+def u_kernel(H: float, lam, h):
+    """Kernel of the autocovariance eigen-expansion at one eigenvalue l.
 
     u = 2(-l)^{1-2H} cosh(l h) + l^{1-2H} e^{l h} P(2H, l h)
         - (-l)^{1-2H} e^{-l h} P(2H, -l h)
@@ -174,43 +267,25 @@ def u_kernel(H: float, lam, h: float) -> complex:
     (-l)^{1-2H} [e^{-l h} (1 - P(2H, -l h))] so that no factor overflows.
 
     For |l h| > 50 the expansion through the gamma-tail odd terms is used.
+    h is a lag or an array of lags; a lag gives a complex, an array gives
+    a complex array of its shape.
     """
     if not 0.0 < H < 1.0:
         raise DomainError(f"H must lie in (0, 1), got {H}")
     lam = complex(lam)
     if lam.real >= 0:
         raise DomainError(f"Re(lambda) must be negative, got {lam}")
-    if h < 0:
-        raise DomainError(f"h must be >= 0, got {h}")
+    hs = np.asarray(h, dtype=float).reshape(-1)
+    if not np.all(hs >= 0):
+        raise DomainError(f"h must be >= 0, got {hs[~(hs >= 0)][0]}")
     a = 2.0 * H
-    z = lam * h
+    z = lam * hs
     pow_neg = complex_power(-lam, 1.0 - a)
-    if abs(z) <= U_KERNEL_ASYM_SWITCH:
-        pow_pos = complex_power(lam, 1.0 - a)
-        return (
-            pow_neg * cmath.exp(z)
-            + pow_pos * _exp_p_product(a, z)
-            + pow_neg * _exp_q_product(a, -z)
-        )
     pow_pos = complex_power(lam, 1.0 - a)
-    expz = cmath.exp(z) if z.real > -745.0 else 0j
-    head = (pow_neg + pow_pos) * expz
-    # odd-order terms of Gamma(a, -z) minus Gamma(a, z) tails
-    c = 1.0
-    zk = 1.0 + 0j
-    s = 0j
-    prev = math.inf
-    for k in range(1, 70):
-        c *= a - k
-        zk *= z
-        if k % 2 == 1:
-            term = c / zk
-            mag = abs(term)
-            if mag > prev:
-                break
-            s += term
-            prev = mag
-            if mag < 1e-18 * abs(s):
-                break
-    tail = -2.0 * h ** (a - 1.0) / gamma_fn(a) * s
-    return head + tail
+    far = np.abs(z) > U_KERNEL_ASYM_SWITCH
+    out = np.empty(len(z), dtype=complex)
+    out[far] = _kernel_expansion(a, z[far], hs[far], pow_neg + pow_pos)
+    x = z[~far]
+    out[~far] = (pow_neg * np.exp(x) + pow_pos * _exp_p_product(a, x)
+                 + pow_neg * _exp_q_product(a, -x))
+    return _shaped(out, h)

@@ -14,6 +14,7 @@ from carfima import (
     DomainError,
     Periodogram,
     SamplePath,
+    TailBoundTooLooseError,
     aliased_spectrum_detail,
     exact_gaussian_paths,
     fit,
@@ -202,6 +203,15 @@ class TestFit:
             fit(path, 0, 0)
         with pytest.raises(DomainError):
             fit(path, 1, 1)
+
+    def test_fast_root_estimate_raises(self):
+        # alpha(z) = z^2 + 0.5 z + 1e6: roots -0.25 +- 1000i at h = 1, far
+        # beyond the explicit aliases, where the tail bracket is as wide as
+        # the spectrum; a fit started there stays there and must not return
+        m = CarfimaModel(p=2, q=1, alpha=(0.0, -1e6, -0.5), beta=(0.4,), H=0.3, sigma=1.0)
+        path = _path(exact_gaussian_paths(m, 512, 1.0, 1, seed=0)[0])
+        with pytest.raises(TailBoundTooLooseError):
+            fit(path, 2, 1, init=m, n_starts=1)
 
     def test_constant_path_rejected(self):
         with pytest.raises(DomainError, match="constant"):

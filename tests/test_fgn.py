@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
@@ -34,6 +35,7 @@ class TestFgnAutocovariance:
     def test_brownian_uncorrelated(self):
         assert fgn_autocovariance(0.5, 1) == 0.0
         assert fgn_autocovariance(0.5, 7) == 0.0
+        assert not np.any(fgn_autocovariance(0.5, np.arange(1, 2000)))
 
     def test_h03_lag1(self):
         got = fgn_autocovariance(0.3, 1)
@@ -55,6 +57,21 @@ class TestFgnAutocovariance:
 
     def test_negative_lag_even(self):
         assert fgn_autocovariance(0.7, -4) == fgn_autocovariance(0.7, 4)
+
+    def test_mpmath_oracle_to_large_lags(self):
+        # the second difference in 40-digit arithmetic; in double precision
+        # it loses about log10(k^2) digits, 1e-4 relative at k = 1e6
+        ks = np.unique(np.r_[np.arange(6), np.geomspace(6, 1e6, 40).astype(int)])
+        for H in (0.05, 0.3, 0.499, 0.7, 0.95):
+            got = fgn_autocovariance(H, ks)
+            assert got.shape == ks.shape
+            with mp.workdps(40):
+                g = 2 * mp.mpf(H)
+                for k, v in zip(ks, got):
+                    x = mp.mpf(int(k))
+                    ref = float((x + 1) ** g - 2 * x**g + abs(x - 1) ** g) / 2
+                    assert abs(v - ref) <= 1e-9 * abs(ref), (H, k)
+                    assert v == fgn_autocovariance(H, int(k))
 
 
 class TestFbmCov:

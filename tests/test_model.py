@@ -276,3 +276,20 @@ class TestPublicSurface:
         spec.loader.exec_module(tracing)
         for module, attr, _, _ in tracing.TARGETS:
             assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+    def test_closed_form_calls_the_kernel_once_per_eigenvalue(self, monkeypatch):
+        # the benchmark counts u_kernel calls through carfima.acf.u_kernel;
+        # the closed form makes one per eigenvalue, each over every lag
+        m = model_from_eigenvalues([-1.0, -0.5 + 1.0j, -0.5 - 1.0j], q=0, H=0.3)
+        lags = np.linspace(0.0, 80.0, 401)
+        calls = []
+
+        def counted(H, lam, h):
+            calls.append((lam, h))
+            return u_kernel(H, lam, h)
+
+        monkeypatch.setattr(carfima.acf, "u_kernel", counted)
+        carfima.acf.acf_closed_form(m, lags)
+        assert [lam for lam, _ in calls] == list(prepare(m).lambdas)
+        for _, h in calls:
+            assert np.array_equal(h, lags)

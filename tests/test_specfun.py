@@ -8,6 +8,9 @@ from scipy.special import gamma as gamma_fn
 
 from carfima import DomainError
 from carfima.specfun import (
+    SERIES_MAX_ABS,
+    SERIES_MAX_CANCEL,
+    U_KERNEL_ASYM_SWITCH,
     _exp_p_product,
     _exp_q_product,
     _pick_method,
@@ -116,22 +119,22 @@ class TestLowerGammaP:
                 assert abs(got - ref) <= 1e-10 * abs(ref), (a, rad, deg)
 
     def test_method_regions_used(self):
-        assert _pick_method(3.0 + 0j) == "series"
-        assert _pick_method(30j) == "continued_fraction"
-        assert _pick_method(45.0 + 0j) == "asymptotic"
+        # one mask per regime: series, continued fraction, asymptotic
+        masks = _pick_method(np.array([3.0, 30j, 45.0]))
+        assert np.array_equal(np.array(masks), np.eye(3, dtype=bool))
 
     def test_methods_agree_in_overlap(self):
         # points where two expansions are both well-conditioned
         a = 1.4
         z = 15.0 * cmath.exp(1j * math.radians(60))
-        s = _series_kummer(a, z)[0]
-        f, _ = _upper_cf_factor(a, z)
+        s = complex(_series_kummer(a, z)[0])
+        f = complex(_upper_cf_factor(a, z)[0])
         cf = 1.0 - cmath.exp(-z) * complex_power(z, a) * f / gamma_fn(a)
         assert s == pytest.approx(cf, rel=1e-11)
         z = 45.0 * cmath.exp(1j * math.radians(100))
-        f, _ = _upper_cf_factor(a, z)
+        f = complex(_upper_cf_factor(a, z)[0])
         cf = 1.0 - cmath.exp(-z) * complex_power(z, a) * f / gamma_fn(a)
-        srs, _ = _upper_asym_factor(a, z)
+        srs = complex(_upper_asym_factor(a, z)[0])
         asym = 1.0 - cmath.exp(-z) * complex_power(z, a - 1) * srs / gamma_fn(a)
         assert cf == pytest.approx(asym, rel=1e-11)
 
@@ -259,6 +262,28 @@ class TestUKernel:
                     got, ref = u_kernel(H, lam, h), mp_u_kernel(H, lam, h)
                     assert abs(got - ref) <= 1e-10 * abs(ref), (H, lam, h)
 
+    def test_lag_array_across_every_switch(self):
+        # one array call per eigenvalue, with |lam h| on both sides of every
+        # regime switch: a + 1 (Kummer series / continued fraction for
+        # Gamma(a, -z)), the cancellation bound |z| - |Re z| = 10 (series /
+        # continued fraction for P(a, z)), 40 (continued fraction /
+        # asymptotic) and 50 (the kernel's own expansion)
+        for H in (0.15, 0.65):
+            a = 2 * H
+            for lam in (-1.0 + 0j, -0.3 + 1.7j, -0.05 + 1.0j):
+                switches = [a + 1, SERIES_MAX_ABS, U_KERNEL_ASYM_SWITCH]
+                if lam.imag:
+                    switches.append(SERIES_MAX_CANCEL / (1 - abs(lam.real) / abs(lam)))
+                hs = np.sort([r * (1 + s) for r in switches for s in (-1e-9, 1e-9)])
+                hs = np.concatenate([[0.0, 0.5], hs, [200.0]]) / abs(lam)
+                got = u_kernel(H, lam, hs)
+                assert got.shape == hs.shape
+                for h, g in zip(hs, got):
+                    alone = u_kernel(H, lam, float(h))
+                    assert type(alone) is complex and g == alone, (H, lam, h)
+                    ref = mp_u_kernel(H, lam, h)
+                    assert abs(g - ref) <= 1e-10 * abs(ref), (H, lam, h)
+
     def test_domain_checks(self):
         with pytest.raises(DomainError):
             u_kernel(0.5, 1.0, 1.0)
@@ -266,3 +291,5 @@ class TestUKernel:
             u_kernel(1.2, -1.0, 1.0)
         with pytest.raises(DomainError):
             u_kernel(0.5, -1.0, -0.1)
+        with pytest.raises(DomainError):
+            u_kernel(0.5, -1.0, np.array([0.0, 2.0, -0.1]))
