@@ -264,7 +264,10 @@ def acf_carma(model: CarfimaModel, h):
     V = vstar(model)
     b = parts.beta_vec
     hs = h.reshape(-1)
-    mat_form = b @ expm(parts.A[None] * hs[:, None, None]) @ V @ b
+    # the last dot product is summed per row: BLAS rounds a (lags, p) @ (p,)
+    # product by how many rows it has, and a lag's value must not depend on
+    # the other lags of the call
+    mat_form = np.sum(b @ expm(parts.A[None] * hs[:, None, None]) @ V * b, axis=-1)
     if parts.distinct:
         coeffs = _eigen_coeffs(model, parts.lambdas)
         eig_form = model.sigma**2 * np.sum(

@@ -18,13 +18,9 @@ from .acf import autocovariance, vstar
 from .errors import CarfimaError, DomainError
 from .estimate import fit
 from .model import CarfimaModel, prepare, stationary_mean
-from .simulate import SamplePath, empirical_acf, exact_gaussian_paths, read_path_csv
-from .simulate import simulate_exact, simulate_state_euler
+from .simulate import MAX_GRID_POINTS, SamplePath, empirical_acf, exact_gaussian_paths
+from .simulate import read_path_csv, simulate_exact, simulate_state_euler
 from .spectrum import DEFAULT_ALIAS_K, fourier_consistency_check, spectrum_table
-
-
-# most points a lag or frequency grid may have (80 MB of float64)
-MAX_GRID_POINTS = 10**7
 
 
 def _parse_lag_grid(spec: str) -> np.ndarray:

@@ -5,8 +5,10 @@ autocovariance routes: by circulant embedding, O(n log n) per path, or by
 its Cholesky factor when the embedding is not PSD or more paths than lags
 are asked for.  The approximate simulator discretizes the state equation
 with an exact-in-A exponential step driven by fractional Gaussian noise
-increments at sub-step resolution.  Their agreement is itself a test of
-the covariance theory.
+increments at sub-step resolution; that linear recursion runs as a blocked
+scan, one lower-triangular Toeplitz product per block of increments and
+one carried state per block.  Their agreement is itself a test of the
+covariance theory.
 """
 
 from __future__ import annotations
@@ -17,12 +19,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, toeplitz
 
 from .acf import _write_csv, autocovariance
 from .errors import DomainError
 from .fgn import _toeplitz_rows, simulate_fgn
 from .model import CarfimaModel, prepare, stationary_mean
+
+# most points a time, lag or frequency grid may have (80 MB of float64)
+MAX_GRID_POINTS = 10**7
+# sub-steps per block of the state scan: the Toeplitz product costs O(L)
+# per sub-step, the loop over blocks total/L iterations
+_SCAN_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -93,6 +101,7 @@ def exact_gaussian_paths(
     """
     if n < 1 or n_paths < 1:
         raise DomainError("n and n_paths must be >= 1")
+    _check_step(step_h)
     table = autocovariance(model, np.arange(n) * step_h, method="auto")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return stationary_mean(model) + _toeplitz_rows(table.values, n_paths, rng)
@@ -111,41 +120,82 @@ def simulate_state_euler(
     """Path from discretizing the state equation with fGn increments.
 
     Sub-step size D = step_h/substeps; the deterministic part advances with
-    the exact propagator e^{AD}, the noise enters as sigma e^{AD/2} delta_p
-    dB^H (midpoint treatment of the convolution kernel).  A burn-in of
-    max(100, 20/|max Re lambda|) time units is discarded and the state
-    starts at the stationary mean.
+    the exact propagator P = e^{AD}, the noise enters as v xi_k with
+    v = sigma e^{AD/2} delta_p and xi_k the fGn increment of sub-step k
+    (midpoint treatment of the convolution kernel).  The state starts at
+    the stationary mean x* = -(alpha_0/alpha_1) e_1, the fixed point of
+    the drift, so e_k = x_k - x* follows e_{k+1} = P e_k + v xi_k from
+    e_0 = 0.  That recursion runs as a blocked scan (`_state_scan`), with
+    no loop over sub-steps.  A burn-in of max(100, 20/|max Re lambda|)
+    time units is discarded; burn-in plus n * substeps sub-steps may not
+    exceed MAX_GRID_POINTS.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if substeps < 1:
         raise DomainError(f"substeps must be >= 1, got {substeps}")
+    _check_step(step_h)
     parts = prepare(model)
     if not parts.stationary:
         raise DomainError("state simulation requires a stationary model")
-    p = model.p
-    A = parts.A
     delta = step_h / substeps
-    prop = expm(A * delta)
-    drift = np.linalg.solve(A, (prop - np.eye(p))) @ (model.alpha[0] * parts.delta_p)
-    noise_vec = model.sigma * (expm(A * delta / 2.0) @ parts.delta_p)
     decay = abs(float(np.max(parts.lambdas.real)))
-    burn = math.ceil(max(100.0, 20.0 / decay) / delta)
-    total = burn + n * substeps
+    # a float division overflows to inf; only a zero divisor raises
+    burn_steps = max(100.0, 20.0 / decay) / delta if delta > 0 else math.inf
+    if burn_steps + n * substeps > MAX_GRID_POINTS:
+        raise DomainError(
+            f"burn-in of {burn_steps:.3g} sub-steps plus n * substeps = {n * substeps} "
+            f"exceeds {MAX_GRID_POINTS} sub-steps")
+    burn = math.ceil(burn_steps)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    db = simulate_fgn(model.H, total, delta, rng)
-    x = -(model.alpha[0] / model.alpha[1]) * np.eye(p)[0]
-    beta_vec = parts.beta_vec
-    out = np.empty(n)
-    j = 0
-    for k in range(total):
-        x = prop @ x + drift + noise_vec * db[k]
-        rel = k + 1 - burn
-        if rel > 0 and rel % substeps == 0:
-            out[j] = beta_vec @ x
-            j += 1
+    xi = simulate_fgn(model.H, burn + n * substeps, delta, rng)
+    A = parts.A
+    noise_vec = model.sigma * (expm(A * delta / 2.0) @ parts.delta_p)
+    e = _state_scan(expm(A * delta), noise_vec, parts.beta_vec, xi)
+    out = stationary_mean(model) + e[burn + substeps - 1 :: substeps]
     return SamplePath(values=out, step_h=step_h, model_hash=model.model_hash(),
                       seed=seed, method="state_euler")
+
+
+def _state_scan(P: np.ndarray, v: np.ndarray, c: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """c^T e_{k+1}, k = 0..len(xi)-1, for e_{k+1} = P e_k + v xi_k from e_0 = 0.
+
+    xi is cut into blocks of L = _SCAN_BLOCK (the last one zero-padded).
+    Within block b, starting from s_b = e_{bL},
+
+        c^T e_{bL+j+1} = sum_{i<=j} h_{j-i} xi_{bL+i} + c^T P^{j+1} s_b,
+
+    with the impulse response h_m = c^T P^m v.  The first sum is one
+    lower-triangular Toeplitz product over all blocks at once, and
+    s_{b+1} = P^L s_b + sum_i P^{L-1-i} v xi_{bL+i} is one product for the
+    block sums plus one loop over the blocks.  Only powers of P are used:
+    a transfer-function filter drifts on clustered roots and an
+    eigen-decomposition fails on repeated ones.
+    """
+    L = _SCAN_BLOCK
+    p, total = len(v), len(xi)
+    blocks = np.zeros((-(-total // L), L))
+    blocks.flat[:total] = xi
+    Pv = np.empty((L, p))  # row m: P^m v
+    cP = np.empty((L, p))  # row j: c^T P^{j+1}
+    row, col = v, c @ P
+    for m in range(L):
+        Pv[m], cP[m] = row, col
+        row, col = P @ row, col @ P
+    local = blocks @ np.tril(toeplitz(Pv @ c)).T
+    block_sums = blocks @ Pv[::-1]
+    PL = np.linalg.matrix_power(P, L)
+    starts = np.empty_like(block_sums)
+    s = np.zeros(p)
+    for b, block_sum in enumerate(block_sums):
+        starts[b] = s
+        s = PL @ s + block_sum
+    return (local + starts @ cP.T).ravel()[:total]
+
+
+def _check_step(step_h: float):
+    if not (math.isfinite(step_h) and step_h > 0):
+        raise DomainError(f"step_h must be finite and positive, got {step_h}")
 
 
 def empirical_acf(paths: np.ndarray, max_lag: int, mean: float) -> np.ndarray:

@@ -2,16 +2,18 @@
 
 * V* from its defining integral, by quadrature, against the Lyapunov solve;
 * the covariance of two step-function fBm integrals, by the increment
-  double sum and by the kernel forms (one for each side of H = 1/2).
+  double sum and by the kernel forms (one for each side of H = 1/2);
+* the state-equation Euler path, one sub-step at a time.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from carfima import CarfimaModel, DomainError
+from carfima import CarfimaModel, DomainError, prepare, simulate_fgn
 from carfima.acf import _decay_horizon
 from carfima.fgn import _check_h
 
@@ -112,3 +114,36 @@ def integral_cov_kernel(f: StepFunction, g: StepFunction, H: float) -> float:
     inner = pw(s[:-1, None] - t[None, 1:]) - pw(s[:-1, None] - t[None, :-1])
     term2 = 0.5 * float(jumps @ inner @ d)
     return term1 + term2
+
+
+def state_euler_loop(model: CarfimaModel, n: int, step_h: float, substeps: int,
+                     seed: int) -> tuple[np.ndarray, int]:
+    """simulate_state_euler's values by a Python loop over the sub-steps,
+    and the number of sub-steps (fGn increments) drawn.
+
+    Same burn-in and the same fGn draw; the state advances as
+    x <- e^{AD} x + drift + sigma e^{AD/2} delta_p xi_k, with the drift
+    A^{-1}(e^{AD} - I) alpha_0 delta_p, from the stationary mean.
+    """
+    parts = prepare(model)
+    p = model.p
+    A = parts.A
+    delta = step_h / substeps
+    prop = expm(A * delta)
+    drift = np.linalg.solve(A, (prop - np.eye(p))) @ (model.alpha[0] * parts.delta_p)
+    noise_vec = model.sigma * (expm(A * delta / 2.0) @ parts.delta_p)
+    decay = abs(float(np.max(parts.lambdas.real)))
+    burn = math.ceil(max(100.0, 20.0 / decay) / delta)
+    total = burn + n * substeps
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    db = simulate_fgn(model.H, total, delta, rng)
+    x = -(model.alpha[0] / model.alpha[1]) * np.eye(p)[0]
+    out = np.empty(n)
+    j = 0
+    for k in range(total):
+        x = prop @ x + drift + noise_vec * db[k]
+        rel = k + 1 - burn
+        if rel > 0 and rel % substeps == 0:
+            out[j] = parts.beta_vec @ x
+            j += 1
+    return out, total

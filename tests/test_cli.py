@@ -145,6 +145,30 @@ class TestSimulateAndFit:
         assert json.loads((tmp_path / "path.csv.meta.json").read_text())["method"] \
             == "state_euler"
 
+    @pytest.mark.parametrize("method", ["exact", "euler"])
+    @pytest.mark.parametrize("h", ["0", "-1", "nan", "inf"])
+    def test_bad_step_is_validation_error(self, frac_file, tmp_path, capsys, method, h):
+        out = tmp_path / "path.csv"
+        rc = main(["simulate", "--model", frac_file, "--out", str(out), "--n", "64",
+                   f"--h={h}", "--method", method])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: step_h must be finite and positive")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_unbounded_burn_in_is_validation_error(self, tmp_path, capsys):
+        # burn-in of 20/1e-6 time units at 8 sub-steps: 1.6e8 sub-steps
+        slow = tmp_path / "slow.json"
+        slow.write_text(car1(0.7, a1=-1e-6).to_json())
+        out = tmp_path / "path.csv"
+        rc = main(["simulate", "--model", str(slow), "--out", str(out), "--n", "1",
+                   "--method", "euler"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: burn-in") and f"exceeds {MAX_GRID_POINTS}" in err
+        assert not out.exists()
+
     def test_fit_reproducible_bit_for_bit(self, frac_file, tmp_path):
         path_csv = tmp_path / "path.csv"
         main(["simulate", "--model", frac_file, "--out", str(path_csv),

@@ -24,6 +24,7 @@ import carfima.simulate as sim_mod
 from carfima.fgn import _circulant_rows
 
 from conftest import car1
+from oracles import state_euler_loop
 
 
 class TestExactSimulator:
@@ -173,6 +174,63 @@ class TestStateEuler:
         m = car1(0.5, a0=3.0)
         path = simulate_state_euler(m, 2000, 0.5, 2, seed=8)
         assert abs(path.values.mean() - 3.0) < 0.2
+
+    @pytest.mark.parametrize("model, n, step_h, substeps, seed", [
+        pytest.param(car1(0.7), 4096, 1.0, 8, 7, id="benchmark_car1_h070"),
+        pytest.param(CarfimaModel(p=2, q=1, alpha=(0.0, -1.0, -1.5), beta=(0.5,), H=0.3,
+                                  sigma=1.0), 512, 1.0, 4, 3, id="carfima_2_h030_1"),
+        # alpha(z) = (z + 0.1)^3: a triple root, stationary mean 300
+        pytest.param(CarfimaModel(p=3, q=1, alpha=(0.3, -0.001, -0.03, -0.3), beta=(0.5,),
+                                  H=0.7, sigma=1.0), 64, 1.0, 64, 5, id="triple_root"),
+        pytest.param(car1(0.3, a1=-0.5, a0=3.0), 256, 0.5, 3, 11, id="alpha0_nonzero"),
+        pytest.param(car1(0.7), 300, 1.0, 1, 13, id="one_substep"),
+        pytest.param(car1(0.7), 20, 2.0, 1, 17, id="fewer_steps_than_a_block"),
+    ])
+    def test_scan_matches_substep_loop(self, model, n, step_h, substeps, seed):
+        # same fGn draw, one sub-step at a time; the scan sums in another order
+        expect, total = state_euler_loop(model, n, step_h, substeps, seed)
+        got = simulate_state_euler(model, n, step_h, substeps, seed).values
+        assert total < sim_mod._SCAN_BLOCK or total % sim_mod._SCAN_BLOCK != 0
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    def test_burn_in_cap(self, monkeypatch):
+        # burn-in max(100, 20/1e-6) time units at 8 sub-steps: 1.6e8 sub-steps
+        def no_draw(*args):
+            raise AssertionError("the fGn increments were drawn")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sim_mod, "simulate_fgn", no_draw)
+            with pytest.raises(DomainError, match="exceeds"):
+                simulate_state_euler(car1(0.7, a1=-1e-6), 1, 1.0, 8, seed=0)
+            with pytest.raises(DomainError, match="exceeds"):
+                simulate_state_euler(car1(0.7), sim_mod.MAX_GRID_POINTS, 1.0, 1, seed=0)
+            # the smallest subnormal step: 100 / step_h overflows, and
+            # step_h / 2 underflows to a zero sub-step
+            for substeps in (1, 2):
+                with pytest.raises(DomainError, match="exceeds"):
+                    simulate_state_euler(car1(0.7), 1, 5e-324, substeps, seed=0)
+        # 200 burn-in sub-steps plus 16 * 2: the cap admits exactly 232
+        monkeypatch.setattr(sim_mod, "MAX_GRID_POINTS", 231)
+        with pytest.raises(DomainError, match="exceeds"):
+            simulate_state_euler(car1(0.7), 16, 1.0, 2, seed=0)
+        monkeypatch.setattr(sim_mod, "MAX_GRID_POINTS", 232)
+        assert simulate_state_euler(car1(0.7), 16, 1.0, 2, seed=0).n == 16
+
+
+@pytest.mark.parametrize("step_h", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("simulate", [
+    lambda h: simulate_state_euler(car1(0.7), 64, h, 8, seed=0),
+    lambda h: simulate_exact(car1(0.7), 64, h, seed=0),
+    lambda h: exact_gaussian_paths(car1(0.7), 64, h, 3, seed=0),
+], ids=["state_euler", "exact", "exact_paths"])
+def test_bad_step_rejected_before_any_work(monkeypatch, simulate, step_h):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before step_h was checked")
+
+    for name in ("prepare", "autocovariance", "simulate_fgn"):
+        monkeypatch.setattr(sim_mod, name, no_work)
+    with pytest.raises(DomainError, match="step_h must be finite and positive"):
+        simulate(step_h)
 
 
 class TestPathIO:
