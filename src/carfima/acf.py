@@ -11,7 +11,11 @@ Each route takes a scalar lag or an array of lags and returns a float or
 an array to match.  The parts that depend on the model alone (V*, the
 eigen weights, the decay horizon and the Gamma(2H+1) prefactor) are
 computed once per call, not once per lag.  The closed form evaluates the
-kernel specfun.u_kernel once per eigenvalue, over the whole lag array.
+kernel specfun.u_kernel once per eigenvalue, over the whole lag array.  The
+CARMA route takes e^{Ah} at every lag from one batched scaling-and-squaring
+Pade kernel (_expm_lags), not from one scipy expm per lag; the sites that
+need a single matrix exponential at a time (the quadrature integrands and
+the decay horizon) keep scipy's expm, which is faster for one matrix.
 
 Also provides the stationary state covariance (Lyapunov solve), the
 power-law tail asymptote and cov(Y_0, B^H_t).
@@ -19,7 +23,6 @@ power-law tail asymptote and cov(Y_0, B^H_t).
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -42,6 +45,16 @@ from .specfun import u_kernel
 LYAPUNOV_RESIDUAL_RTOL = 1e-8
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-11, limit=400)
+
+# Pade [13/13] coefficients of e^X (Higham 2005, SIAM J. Matrix Anal. Appl.
+# 26:1179), divided by the constant term so that it is 1 and X = 0 gives
+# the identity bit for bit; theta_13 is the largest ||X||_1 the
+# approximant takes unscaled
+_PADE13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0))
+_THETA13 = 5.371920351148152
 
 
 @dataclass(frozen=True)
@@ -79,13 +92,17 @@ def _write_csv(path, header, columns, constants=()) -> None:
     """Write a header, then one row per entry of the float columns.
 
     Each float is written as its repr, so it reads back exactly; the
-    constants close every row.
+    constants close every row.  The file is built as one string, each
+    column converted by one tolist() and one map(repr), and written at
+    once; rows end in "\\r\\n", as csv.writer ends them.  No field is
+    quoted: a float repr and the table's constants never hold a comma, a
+    quote or a line break.
     """
+    cells = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
+    end = "".join("," + c for c in constants) + "\r\n"
+    body = "".join(",".join(row) + end for row in zip(*cells))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in zip(*columns):
-            w.writerow([*(repr(float(x)) for x in row), *constants])
+        fh.write(",".join(header) + "\r\n" + body)
 
 
 def vstar(model: CarfimaModel) -> np.ndarray:
@@ -249,13 +266,61 @@ def acf_closed_form(model: CarfimaModel, h):
     return _like_lags(total.real, h)
 
 
+def _expm_lags(A: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """e^{A h} for every lag h of the 1-d array hs, as a (lags, p, p) array.
+
+    Scaling and squaring with the [13/13] Pade approximant, batched over
+    the lags.  Every matrix is A h, so with t = h / 2^s the numerator and
+    denominator are scalar polynomials in t times the powers A^0..A^13,
+    which are formed once per call.  s is the least integer >= 0 with
+    ||A t||_1 <= theta_13, taken from log2 ||A||_1 + log2 h and applied
+    with ldexp, so no finite lag overflows: a lag far past the decay
+    squares down to zero instead of to NaN.  Then one batched solve gives
+    the approximants, and each lag is squared s times.  Every sum runs
+    term by term, elementwise, so a lag gives the same bits whatever the
+    other lags of the call.  The one-matrix sites (the quadrature
+    integrands, the decay horizon, the mean trajectory, the Euler
+    propagator) keep scipy's expm, which is faster for a single matrix.
+    """
+    p = A.shape[0]
+    with np.errstate(divide="ignore"):  # log2(0) = -inf gives s = 0
+        s = np.ceil(np.log2(np.linalg.norm(A, 1)) + np.log2(hs) - np.log2(_THETA13))
+    s = np.where(np.isfinite(s), np.maximum(s, 0.0), 0.0).astype(int)
+    t = np.ldexp(hs, -s)[:, None, None]
+    even = np.zeros((len(hs), p, p))
+    odd = np.zeros((len(hs), p, p))
+    power, tk = np.eye(p), np.ones_like(t)
+    for k, c in enumerate(_PADE13):
+        term = (c * tk) * power
+        if k % 2:
+            odd += term
+        else:
+            even += term
+        power, tk = power @ A, tk * t
+    out = np.linalg.solve(even - odd, even + odd)
+    for j in range(int(s.max(initial=0))):
+        sq = s > j
+        x = out[sq]
+        out[sq] = _matmul_terms(x, x)
+    return out
+
+
+def _matmul_terms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X @ Y over stacks of matrices, summed term by term elementwise."""
+    out = X[..., :, :1] * Y[..., :1, :]
+    for k in range(1, X.shape[-1]):
+        out += X[..., :, k:k + 1] * Y[..., k:k + 1, :]
+    return out
+
+
 def acf_carma(model: CarfimaModel, h):
     """Autocovariance at lag(s) h for the H = 1/2 (CARMA) case.
 
-    Both the matrix form beta' e^{Ah} V* beta (one stacked matrix
-    exponential over the lags) and, when the eigenvalues are distinct, the
-    eigen-sum are computed; they must agree to 1e-9 relative at every lag.
-    The matrix form is returned.
+    Both the matrix form beta' e^{Ah} V* beta and, when the eigenvalues are
+    distinct, the eigen-sum are computed; they must agree to 1e-9 relative
+    at every lag.  The matrix form is returned.  Its exponentials come from
+    _expm_lags, one batched Pade kernel over all the lags of the call, not
+    one scipy expm per lag.
     """
     h = _lag_array(h)
     if model.H != 0.5:
@@ -264,10 +329,11 @@ def acf_carma(model: CarfimaModel, h):
     V = vstar(model)
     b = parts.beta_vec
     hs = h.reshape(-1)
-    # the last dot product is summed per row: BLAS rounds a (lags, p) @ (p,)
+    # each product is summed term by term: BLAS rounds a (lags, p) @ (p,)
     # product by how many rows it has, and a lag's value must not depend on
     # the other lags of the call
-    mat_form = np.sum(b @ expm(parts.A[None] * hs[:, None, None]) @ V * b, axis=-1)
+    row = _matmul_terms(b[None, None], _expm_lags(parts.A, hs))
+    mat_form = np.sum(_matmul_terms(row, V[None]) * b, axis=-1)[:, 0]
     if parts.distinct:
         coeffs = _eigen_coeffs(model, parts.lambdas)
         eig_form = model.sigma**2 * np.sum(

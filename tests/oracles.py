@@ -3,12 +3,16 @@
 * V* from its defining integral, by quadrature, against the Lyapunov solve;
 * the covariance of two step-function fBm integrals, by the increment
   double sum and by the kernel forms (one for each side of H = 1/2);
-* the state-equation Euler path, one sub-step at a time.
+* the state-equation Euler path, one sub-step at a time;
+* the CARMA autocovariance beta' e^{Ah} V* beta in 40-digit mpmath;
+* the csv.writer table writer, one row at a time.
 """
 
+import csv
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
@@ -147,3 +151,40 @@ def state_euler_loop(model: CarfimaModel, n: int, step_h: float, substeps: int,
             out[j] = parts.beta_vec @ x
             j += 1
     return out, total
+
+
+def carma_acf_mpmath(model: CarfimaModel, lags, dps: int = 40) -> list[float]:
+    """beta' e^{Ah} V* beta at each lag, with V* from the Kronecker form of
+    the Lyapunov equation and e^{Ah} from mpmath's expm, at dps digits."""
+    parts = prepare(model)
+    p = model.p
+    with mpmath.workdps(dps):
+        A = mpmath.matrix(parts.A.tolist())
+        b = mpmath.matrix(parts.beta_vec.tolist())
+        d = mpmath.matrix(parts.delta_p.tolist())
+        # (I (x) A + A (x) I) vec V = -sigma^2 vec(d d')
+        kron = mpmath.matrix(p * p, p * p)
+        rhs = mpmath.matrix(p * p, 1)
+        for i in range(p):
+            for j in range(p):
+                rhs[i * p + j] = -mpmath.mpf(model.sigma) ** 2 * d[i] * d[j]
+                for k in range(p):
+                    kron[i * p + j, k * p + j] += A[i, k]
+                    kron[i * p + j, i * p + k] += A[j, k]
+        vec = mpmath.lu_solve(kron, rhs)
+        V = mpmath.matrix(p, p)
+        for i in range(p):
+            for j in range(p):
+                V[i, j] = vec[i * p + j]
+        Vb = V * b
+        return [float((b.T * mpmath.expm(A * mpmath.mpf(h)) * Vb)[0]) for h in lags]
+
+
+def csv_writer_rows(path, header, columns, constants=()) -> None:
+    """The table writer as csv.writer rows: a header, then one row per entry
+    of the float columns, each float as repr(float(x)), the constants last."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in zip(*columns):
+            w.writerow([*(repr(float(x)) for x in row), *constants])

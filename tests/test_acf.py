@@ -26,11 +26,13 @@ from carfima import (
     vstar,
 )
 import carfima.acf
-from carfima.acf import AcfTable
+from carfima.acf import _THETA13, AcfTable, _expm_lags, _write_csv
 from carfima.fgn import simulate_fgn
+from carfima.simulate import SamplePath
+from carfima.spectrum import spectrum_table
 
 from conftest import car1, model_from_eigenvalues, random_stable_model
-from oracles import vstar_integral
+from oracles import carma_acf_mpmath, csv_writer_rows, vstar_integral
 
 
 class TestVstar:
@@ -203,6 +205,69 @@ class TestCarma:
             acf_carma(car1(0.7), 1.0)
 
 
+# the double root is the one where acf_carma skips its eigen cross-check
+_CARMA_ORACLE_MODELS = {
+    "carma_2_1": CarfimaModel(p=2, q=1, alpha=(0.0, -1.0, -1.5), beta=(0.5,), H=0.5,
+                              sigma=1.0),
+    "car3_pair": CarfimaModel(p=3, q=0, alpha=(0.0, -1.25, -2.25, -2.0), beta=(), H=0.5,
+                              sigma=1.0),
+    "double_root": CarfimaModel(p=2, q=0, alpha=(0.0, -1.0, -2.0), beta=(), H=0.5,
+                                sigma=1.0),
+    "light_pair": CarfimaModel(p=2, q=0, alpha=(0.0, -100.0, -0.2), beta=(), H=0.5,
+                               sigma=1.0),
+}
+
+
+def _squarings(A, h):
+    x = np.linalg.norm(A, 1) * h / _THETA13
+    return max(0, math.ceil(math.log2(x))) if x > 0 else 0
+
+
+class TestCarmaKernel:
+    @pytest.mark.parametrize("name", list(_CARMA_ORACLE_MODELS))
+    def test_mpmath_oracle(self, name):
+        m = _CARMA_ORACLE_MODELS[name]
+        parts = prepare(m)
+        A = parts.A
+        assert parts.distinct == (name != "double_root")
+        lags = np.array([0.0, 1e-3, 0.37, 1.0, 2.5, 7.0, 20.0, 60.0, 100.0, 150.0])
+        assert max(_squarings(A, h) for h in lags) >= 7
+        assert sum(_squarings(A, h) >= 6 for h in lags) >= 2
+        ref = np.array(carma_acf_mpmath(m, lags))
+        got = acf_carma(m, lags)
+        scale = np.maximum(np.abs(ref), 1e-6 * ref[0])
+        assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("name", list(_CARMA_ORACLE_MODELS))
+    def test_lag_zero_is_the_identity(self, name):
+        A = prepare(_CARMA_ORACLE_MODELS[name]).A
+        got = _expm_lags(A, np.array([0.0, 0.5, 3.0]))
+        assert np.array_equal(got[0], np.eye(len(A)))
+
+    @pytest.mark.parametrize("h", [1e50, 1e300, 1.7e308])
+    def test_far_lags_underflow_to_zero(self, h):
+        m = _CARMA_ORACLE_MODELS["carma_2_1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert acf_carma(m, h) == 0.0
+            assert acf_carma(m, np.array([0.0, h]))[1] == 0.0
+
+    def test_no_scipy_expm_per_lag(self, monkeypatch):
+        calls = []
+        scipy_expm = carfima.acf.expm
+
+        def counted(M):
+            calls.append(M.shape)
+            return scipy_expm(M)
+
+        monkeypatch.setattr(carfima.acf, "expm", counted)
+        m = _CARMA_ORACLE_MODELS["carma_2_1"]
+        acf_carma(m, np.arange(4001) * 0.01)
+        assert calls == []
+        carfima.acf._decay_horizon(prepare(m).A)  # the counter does count
+        assert calls
+
+
 class TestTailAsymptote:
     def test_sign_negative_below_half(self):
         m = car1(0.3)
@@ -347,3 +412,43 @@ class TestAutocovarianceTable:
         with pytest.raises(CarfimaError):
             AcfTable(lags=np.array([0.0, 1.0]), values=np.array([1.0, 2.0]),
                      method="closed_form", model_hash="x")
+
+
+class TestCsvWriter:
+    """The one-pass writer gives the bytes of the csv.writer rows."""
+
+    @staticmethod
+    def _same_bytes(tmp_path, write, header, columns, constants=()):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write(got)
+        csv_writer_rows(want, header, columns, constants)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_acf_table(self, tmp_path):
+        t = autocovariance(car1(0.7), np.linspace(0.0, 40.0, 401))
+        self._same_bytes(tmp_path, t.to_csv, ["lag", "gamma", "method"],
+                         (t.lags, t.values), [t.method])
+
+    def test_aliased_spectrum_table(self, tmp_path):
+        t = spectrum_table(car1(0.7), np.linspace(0.0, math.pi, 65), kind="aliased",
+                           step_h=0.5, K=32)
+        self._same_bytes(tmp_path, t.to_csv, ["omega", "f", "kind", "h", "K"],
+                         (t.omegas, t.values), ["aliased", "0.5", "32"])
+
+    def test_continuous_spectrum_table_with_inf(self, tmp_path):
+        t = spectrum_table(car1(0.7), np.linspace(0.0, 5.0, 51))
+        assert t.values[0] == math.inf
+        self._same_bytes(tmp_path, t.to_csv, ["omega", "f", "kind", "h", "K"],
+                         (t.omegas, t.values), ["continuous", "", ""])
+
+    def test_sample_path(self, tmp_path):
+        path = SamplePath(values=simulate_fgn(0.7, 300, 0.1, np.random.default_rng(3)),
+                          step_h=0.1, model_hash="", seed=3, method="exact_gaussian")
+        self._same_bytes(tmp_path, path.to_csv, ["t", "y"],
+                         (np.arange(1, path.n + 1) * path.step_h, path.values))
+
+    def test_special_values(self, tmp_path):
+        col = np.array([-0.0, 5e-324, 1e22, 0.1, -1e-300, math.inf, 3.0])
+        cols = (np.arange(len(col)), col)
+        self._same_bytes(tmp_path, lambda f: _write_csv(f, ["a", "b", "c"], cols, ["x"]),
+                         ["a", "b", "c"], cols, ["x"])

@@ -101,6 +101,21 @@ class TestAcfCommand:
         assert err.startswith("error: bad ") and f"more than {MAX_GRID_POINTS}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["0:1e300:1e299", "0:1.7e308:1e307"])
+    def test_far_lags_of_a_carma_model(self, tmp_path, capsys, grid):
+        # e^{Ah} at these lags once came out NaN, and the table was refused
+        model = tmp_path / "carma.json"
+        model.write_text(CarfimaModel(p=2, q=1, alpha=(0.0, -1.0, -1.5), beta=(0.5,),
+                                      H=0.5, sigma=1.0).to_json())
+        out = tmp_path / "acf.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["acf", "--model", str(model), "--out", str(out), "--lags", grid])
+        assert rc == 0, capsys.readouterr().err
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert [float(r[1]) for r in rows[1:]] == [0.0] * (len(rows) - 1)
+        assert float(rows[0][1]) > 0
+
     def test_bad_flag_exits_one(self, capsys):
         rc = main(["acf", "--nonsense"])
         capsys.readouterr()

@@ -213,6 +213,12 @@ class TestFit:
         with pytest.raises(TailBoundTooLooseError):
             fit(path, 2, 1, init=m, n_starts=1)
 
+    def test_four_roots_on_a_short_path(self):
+        # fit(p=4) on n = 256 once raised OverflowError
+        path = simulate_exact(car1(0.7), 256, 1.0, seed=1)
+        r = fit(path, 4, 0, seed=0, n_starts=2)
+        assert r.model_hat.p == 4 and math.isfinite(r.objective_value)
+
     def test_constant_path_rejected(self):
         with pytest.raises(DomainError, match="constant"):
             fit(_path(np.ones(64)), 1, 0)
