@@ -1,9 +1,9 @@
 """Autocovariance of the stationary process by three cross-validating routes.
 
 * closed eigen-expansion over the companion eigenvalues (the production
-  path when the eigenvalues are distinct),
-* adaptive quadrature of the defining matrix-integral form (fallback and
-  oracle),
+  path when the eigenvalues are distinct and not clustered),
+* a fixed tanh-sinh rule on the defining matrix-integral form (fallback
+  and oracle),
 * the exact matrix expression at H = 1/2, where the process degenerates
   to a CARMA process.
 
@@ -12,10 +12,10 @@ an array to match.  The parts that depend on the model alone (V*, the
 eigen weights, the decay horizon and the Gamma(2H+1) prefactor) are
 computed once per call, not once per lag.  The closed form evaluates the
 kernel specfun.u_kernel once per eigenvalue, over the whole lag array.  The
-CARMA route takes e^{Ah} at every lag from one batched scaling-and-squaring
-Pade kernel (_expm_lags), not from one scipy expm per lag; the sites that
-need a single matrix exponential at a time (the quadrature integrands and
-the decay horizon) keep scipy's expm, which is faster for one matrix.
+CARMA route and the integral form take their matrix exponentials from one
+batched scaling-and-squaring Pade kernel (_expm_lags) over all the lags or
+nodes of a call, not from one scipy expm per lag or node; only the decay
+horizon, which needs a few single exponentials, keeps scipy's expm.
 
 Also provides the stationary state covariance (Lyapunov solve), the
 power-law tail asymptote and cov(Y_0, B^H_t).
@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import expm, solve_continuous_lyapunov
 from scipy.special import gamma as gamma_fn
 
@@ -44,7 +43,29 @@ from .specfun import u_kernel
 
 LYAPUNOV_RESIDUAL_RTOL = 1e-8
 
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-11, limit=400)
+# An eigen-expansion sum_i c_i u_i(h) is trusted while its condition number
+# kappa (_expansion_kappa) times _TERM_RTOL, the accuracy of one term (the
+# kernel's against 30-digit mpmath, test_specfun), stays within
+# _EXPANSION_MAX_ERROR.  Clustered roots make the weights c_i large and
+# cancelling: the closed form refuses them, and at H = 1/2 the eigen
+# cross-check skips them.
+_TERM_RTOL = 1e-13
+_EXPANSION_MAX_ERROR = 1e-10
+
+# The tanh-sinh rule on [0, 1] (Takahasi & Mori 1974): nodes
+# t = e^z / (2 cosh z), z = (pi/2) sinh(tau), at tau = k * _TS_STEP / 2 for
+# |tau| <= _TS_TAU_MAX, where the weights have fallen below 1e-22.  The even
+# k are the coarse level (step _TS_STEP); all k are the fine level.
+_TS_STEP = 1.0 / 16
+_TS_TAU_MAX = 3.5
+# the rule on [0, U] runs in panels short enough that the fastest
+# oscillation, max |Im lambda|, turns by at most this many radians on one;
+# a model that needs more panels than _MAX_PANELS (115 000 nodes) is refused
+_PANEL_RADIANS = 16.0
+_MAX_PANELS = 512
+# values per block of lags in acf_integral_form, so that the (lags x nodes)
+# arrays stay near 0.5 MB each
+_BLOCK_VALUES = 2**16
 
 # Pade [13/13] coefficients of e^X (Higham 2005, SIAM J. Matrix Anal. Appl.
 # 26:1179), divided by the constant term so that it is 1 and X = 0 gives
@@ -143,31 +164,6 @@ def _decay_horizon(A, rtol: float = 1e-14, weight_exp: float = 0.0) -> float:
     raise QuadratureError("could not find a decay horizon for the tail truncation")
 
 
-def _checked_quad(f, a, b, scale):
-    val, err = quad(f, a, b, **_QUAD_OPTS)
-    if err > 1e-6 * max(abs(val), scale):
-        raise QuadratureError(
-            f"quadrature error estimate {err:.3e} too large for value {val:.6e}"
-        )
-    return val
-
-
-def _int_power_weight(f, c, H, scale):
-    """int_0^c f(u) u^{2H-1} du with the endpoint singularity substituted away.
-
-    For H < 1/2 the substitution u = v^{1/(2H)} gives a constant weight; for
-    H >= 1/2, u = v^2 makes the integrand C^1 at the origin.
-    """
-    if c <= 0:
-        return 0.0
-    if H < 0.5:
-        g = 1.0 / (2.0 * H)
-        return _checked_quad(lambda v: f(v**g), 0.0, c ** (2.0 * H), scale) / (2.0 * H)
-    return _checked_quad(
-        lambda v: f(v * v) * 2.0 * v ** (4.0 * H - 1.0), 0.0, math.sqrt(c), scale
-    )
-
-
 def _stationary_parts(model: CarfimaModel):
     """prepare(model), refused unless the model is stationary."""
     parts = prepare(model)
@@ -177,10 +173,11 @@ def _stationary_parts(model: CarfimaModel):
 
 
 def _lag_array(h) -> np.ndarray:
-    """The lags as a float array, refused unless every one is >= 0."""
+    """The lags as a float array, refused unless every one is finite and >= 0."""
     h = np.asarray(h, dtype=float)
-    if not np.all(h >= 0):
-        raise DomainError(f"h must be >= 0, got {h[~(h >= 0)][0]}")
+    ok = np.isfinite(h) & (h >= 0)
+    if not np.all(ok):
+        raise DomainError(f"h must be finite and >= 0, got {h[~ok][0]}")
     return h
 
 
@@ -190,37 +187,191 @@ def _like_lags(values, h: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
+def _tanh_sinh_nodes():
+    """log t and the fine-level weights of the tanh-sinh rule on [0, 1].
+
+    t = e^z / (2 cosh z) is taken through log t = -log1p(e^{-2z}): near
+    t = 0 the form (1 + tanh z) / 2 cancels, and the power-law weights of
+    the rule's users lose their accuracy with it.
+    """
+    k = 2 * math.ceil(_TS_TAU_MAX / _TS_STEP)  # even, so node 0 is a coarse node
+    tau = np.arange(-k, k + 1) * (0.5 * _TS_STEP)
+    z = 0.5 * math.pi * np.sinh(tau)
+    log_t = -np.log1p(np.exp(-2.0 * z))
+    weight = (0.5 * _TS_STEP) * (0.25 * math.pi) * np.cosh(tau) / np.cosh(z) ** 2
+    log_t.setflags(write=False)
+    weight.setflags(write=False)
+    return log_t, weight
+
+
+_TS_LOG_T, _TS_WEIGHT = _tanh_sinh_nodes()
+
+
+def _level_sums(terms):
+    """The (coarse, fine) tanh-sinh sums of terms shaped (panels, nodes, ...).
+
+    The terms carry the fine-level weights; the coarse level doubles them
+    on the even nodes.  Each entry is summed node by node (a cumulative
+    sum), so its sums do not depend on the other entries.
+    """
+    rest = terms.shape[2:]
+    even = np.cumsum(terms[:, 0::2].reshape(-1, *rest), axis=0)[-1]
+    odd = np.cumsum(terms[:, 1::2].reshape(-1, *rest), axis=0)[-1]
+    return 2.0 * even, even + odd
+
+
+@dataclass(frozen=True)
+class _Horizon:
+    """The tanh-sinh rule on [0, U] in panels of length P.
+
+    Each array is shaped (panels, nodes): the nodes w and log w, the weights
+    dw of a smooth integrand and pw = w^{2H-1} dw of a power-weighted one.
+    """
+
+    P: float
+    w: np.ndarray
+    log_w: np.ndarray
+    dw: np.ndarray
+    pw: np.ndarray
+
+
+def _horizon_rule(lambdas: np.ndarray, U: float, H: float) -> _Horizon:
+    """The rule on [0, U], cut into equal panels.
+
+    The first panel maps w = P t^e with e = max(1, 1/(2H)): for H < 1/2 the
+    weight w^{2H-1} dw is then a constant times dt, and for H >= 1/2 it is
+    the bounded t^{2H-1} dt (e = 1/(2H) < 1 there would make dw itself
+    singular at t = 0).  The other panels map w linearly.  There are enough
+    panels that max |Im lambda| turns by at most _PANEL_RADIANS on one;
+    past _MAX_PANELS of them QuadratureError is raised.
+    """
+    c, e = 2.0 * H - 1.0, max(1.0, 1.0 / (2.0 * H))
+    J = max(1, math.ceil(U * float(np.max(np.abs(lambdas.imag))) / _PANEL_RADIANS))
+    if J > _MAX_PANELS:
+        raise QuadratureError(
+            f"{J} panels of the decay horizon {U:.3g} needed for the oscillation, "
+            f"more than {_MAX_PANELS}")
+    P = U / J
+    log_t, wt = _TS_LOG_T, _TS_WEIGHT
+    w = P * (np.arange(J)[:, None] + np.exp(log_t))
+    log_w = np.empty_like(w)
+    log_w[0] = math.log(P) + e * log_t  # finite where P t^e underflows
+    log_w[1:] = np.log(w[1:])
+    w[0] = np.exp(log_w[0])
+    dw = np.empty_like(w)
+    dw[0] = e * P * wt * np.exp((e - 1.0) * log_t)
+    dw[1:] = P * wt
+    pw = np.empty_like(w)
+    pw[0] = e * P ** (2.0 * H) * wt * np.exp((2.0 * H * e - 1.0) * log_t)
+    pw[1:] = dw[1:] * np.exp(c * log_w[1:])
+    return _Horizon(P=P, w=w, log_w=log_w, dw=dw, pw=pw)
+
+
+def _forms(A: np.ndarray, s: np.ndarray, row: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """row' e^{As} col for every entry of s, summed term by term elementwise."""
+    E = _expm_lags(A, s.reshape(-1))
+    out = _matmul_terms(_matmul_terms(row[None, None], E), col[:, None])
+    return out.reshape(s.shape)
+
+
+def _near_lag_piece(A, row, col, H, x, start):
+    """(coarse, fine) int_start^x phi(v) [(x-v)^{2H-1} - (x+v)^{2H-1}] dv.
+
+    phi(v) = row' e^{Av} col.  With l = x - start, v = x - l t^e puts the
+    singular end v = x at t = 0 and makes (x-v)^{2H-1} dv a constant or
+    bounded power of t, as in _horizon_rule.  The bracket, times t^{e-1},
+    is t^{2He-1} [1 - ((2x/l - t^e) / t^e)^{2H-1}], formed as one expm1, so
+    near H = 1/2 it keeps its relative accuracy.  e^{Av} on the
+    (lags x nodes) grid comes from one _expm_lags call.
+    """
+    c, e = 2.0 * H - 1.0, max(1.0, 1.0 / (2.0 * H))
+    log_t = _TS_LOG_T
+    ell = x - start
+    v = -np.expm1(e * log_t)  # 1 - t^e, accurate near t = 1
+    phi = _forms(A, start[:, None] + ell[:, None] * v, row, col)
+    log_far = np.log1p(2.0 * (start / ell)[:, None] + v)  # log(2x/l - t^e)
+    g = -np.exp((2.0 * H * e - 1.0) * log_t) * np.expm1(c * (log_far - e * log_t))
+    terms = (_TS_WEIGHT * g * phi).T[None]
+    return [e * ell ** (2.0 * H) * level for level in _level_sums(terms)]
+
+
 def acf_integral_form(model: CarfimaModel, h):
     """Autocovariance at lag(s) h from the three-integral matrix form.
 
-    Works for any 0 < H < 1 and does not need distinct eigenvalues; each
-    integral is evaluated with the matrix exponential folded in so the
-    integrands stay bounded.  V* and the decay horizon are computed once
-    per call.
+    gamma(x) = H (I1 - I2 - I3) with phi(s) = beta' A e^{As} V* beta,
+    I1 = int_0^x phi(x-u) u^{2H-1} du, I2 = int_0^U phi(w) (w+x)^{2H-1} dw
+    and I3 = int_0^U phi(u+x) u^{2H-1} du, U the decay horizon.  It holds
+    for any 0 < H < 1 and needs no distinct eigenvalues.  It is evaluated
+    as gamma(x) = H [D(x) - beta' A e^{Ax} (K(x) + M)], where
+    D(x) = int_0^x phi(v) [(x-v)^{2H-1} - (x+v)^{2H-1}] dv is I1 less the
+    part of I2 on [0, x], K(x) = int_0^U e^{Ay} V* beta (2x+y)^{2H-1} dy
+    gives the rest of I2 (e^{A(x+y)} = e^{Ax} e^{Ay}, and phi is negligible
+    past U), and M = int_0^U e^{Au} V* beta u^{2H-1} du gives I3.  Near
+    H = 1/2, where I1 and I2 tend to one value, D is formed without their
+    difference.
+
+    Every integral is a fixed tanh-sinh rule at two levels: the fine level
+    is returned, and the difference between the levels is its error
+    estimate, which must stay within 1e-6 max(|gamma|, beta' V* beta) at
+    every lag, or QuadratureError is raised.  M, K and the part of D on
+    whole panels below x run on the horizon nodes of _horizon_rule, whose
+    exponentials are formed once per call; the part of D near x runs on a
+    (lags x nodes) grid.  The exponentials come from _expm_lags, every sum
+    runs elementwise, and the lags are taken in blocks, so each lag gives
+    the same bits whatever the other lags of the call.
     """
     h = _lag_array(h)
     parts = _stationary_parts(model)
-    H = model.H
-    A = parts.A
+    H, A = model.H, parts.A
+    c = 2.0 * H - 1.0
     V = vstar(model)
-    bA = parts.beta_vec @ A
-    Vb = V @ parts.beta_vec
-
-    def phi(s):
-        return bA @ expm(A * s) @ Vb
-
-    scale = abs(float(parts.beta_vec @ V @ parts.beta_vec))
-    U = _decay_horizon(A, rtol=1e-15, weight_exp=max(2 * H - 1, 0.0))
-
-    def at(x):
-        i1 = _int_power_weight(lambda u: phi(x - u), x, H, scale)
-        i3 = _int_power_weight(lambda u: phi(u + x), U, H, scale)
-        if x == 0:  # the second integral is then the third
-            return H * (i1 - i3 - i3)
-        i2 = _checked_quad(lambda w: phi(w) * (w + x) ** (2 * H - 1), 0.0, U, scale)
-        return H * (i1 - i2 - i3)
-
-    return _like_lags([at(x) for x in h.flat], h)
+    row = parts.beta_vec @ A
+    col = V @ parts.beta_vec
+    scale = abs(float(parts.beta_vec @ col))
+    U = _decay_horizon(A, rtol=1e-15, weight_exp=max(c, 0.0))
+    rule = _horizon_rule(parts.lambdas, U, H)
+    J, p = rule.w.shape[0], len(row)
+    E = _expm_lags(A, rule.w.reshape(-1))
+    cols = _matmul_terms(E, col[:, None]).reshape(*rule.w.shape, p)  # e^{Aw} V* beta
+    phis = _matmul_terms(cols[..., None, :], row[:, None])[..., 0, 0]
+    M = _level_sums(rule.pw[..., None] * cols)
+    hs = h.reshape(-1)
+    out = np.empty(len(hs))
+    block = max(1, _BLOCK_VALUES // (rule.w.size * p + len(_TS_WEIGHT) * p * p))
+    for i in range(0, len(hs), block):
+        x = hs[i:i + block]
+        rows = _matmul_terms(row[None, None], _expm_lags(A, x))  # beta' A e^{Ax}
+        with np.errstate(divide="ignore"):  # x = 0: log 0 = -inf, a ratio of 1
+            log_2x = np.log(2.0 * x)
+        ratio = np.exp(c * (np.logaddexp(rule.log_w[..., None], log_2x)
+                            - rule.log_w[..., None]))  # (1 + 2x/w)^{2H-1}
+        K = _level_sums((rule.pw[..., None] * ratio)[..., None] * cols[:, :, None])
+        levels = [-_matmul_terms(rows, (k + m)[:, :, None])[:, 0, 0] for k, m in zip(K, M)]
+        j = np.floor(x / rule.P)
+        whole = j >= 2  # panels 0 .. j-2 end at least one panel below x
+        if np.any(whole):
+            xw = x[whole]
+            gap = xw - rule.w[..., None]
+            taken = np.arange(J)[:, None, None] < j[whole] - 1
+            with np.errstate(invalid="ignore", divide="ignore"):
+                bracket = -gap ** c * np.expm1(c * np.log1p(2.0 * rule.w[..., None] / gap))
+                terms = np.where(taken, (rule.dw * phis)[..., None] * bracket, 0.0)
+            for level, d in zip(levels, _level_sums(terms)):
+                level[whole] += d
+        near = (j <= J) & (x > 0)  # the rest of [0, x] before the horizon ends
+        if np.any(near):
+            start = np.maximum(j[near] - 1.0, 0.0) * rule.P
+            for level, d in zip(levels, _near_lag_piece(A, row, col, H, x[near], start)):
+                level[near] += d
+        coarse, fine = H * levels[0], H * levels[1]
+        bad = ~(np.abs(fine - coarse) <= 1e-6 * np.maximum(np.abs(fine), scale))
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise QuadratureError(
+                f"quadrature error estimate {abs(fine[k] - coarse[k]):.3e} too large "
+                f"for value {fine[k]:.6e} at h={x[k]}")
+        out[i:i + block] = fine
+    return _like_lags(out, h)
 
 
 def _eigen_coeffs(model: CarfimaModel, lambdas: np.ndarray) -> np.ndarray:
@@ -233,6 +384,19 @@ def _eigen_coeffs(model: CarfimaModel, lambdas: np.ndarray) -> np.ndarray:
     return out
 
 
+def _expansion_kappa(size: np.ndarray, at0: np.ndarray) -> np.ndarray:
+    """Condition number of an eigen-expansion at each lag.
+
+    size holds sum_i |term_i| at each lag and at0 the terms at lag 0.  Over
+    the lag-0 value |sum at0|, which bounds every lag's value, and never
+    below the lag-0 ratio sum |at0| / |sum at0|: a lag-0 value lost to
+    cancellation then cannot make kappa small, and, unlike each lag's own
+    value, it does not vanish where the autocovariance changes sign.
+    """
+    with np.errstate(divide="ignore"):
+        return np.maximum(size, np.sum(np.abs(at0))) / abs(np.sum(at0))
+
+
 def acf_closed_form(model: CarfimaModel, h):
     """Autocovariance at lag(s) h from the closed eigen-expansion.
 
@@ -243,6 +407,13 @@ def acf_closed_form(model: CarfimaModel, h):
     and u_kernel runs once per eigenvalue over the whole lag array; each
     lag's value is accumulated eigenvalue by eigenvalue, so a lag rounds the
     same in an array call as in a call of its own.
+
+    The same pass sums |c_i u_i(h)|, which with the lag-0 terms
+    c_i u_i(0) = 2 c_i (-lambda_i)^{1-2H} gives the condition number kappa
+    (_expansion_kappa).  When kappa * _TERM_RTOL exceeds
+    _EXPANSION_MAX_ERROR at any lag, clustered eigenvalues are cancelling in
+    the weights and RepeatedEigenvaluesError is raised, so that
+    autocovariance takes the integral form.
     """
     h = _lag_array(h)
     parts = _stationary_parts(model)
@@ -252,9 +423,21 @@ def acf_closed_form(model: CarfimaModel, h):
         )
     H = model.H
     hs = h.reshape(-1)
+    coeffs = _eigen_coeffs(model, parts.lambdas)
     total = np.zeros(len(hs), dtype=complex)
-    for c, lam in zip(_eigen_coeffs(model, parts.lambdas), parts.lambdas):
-        total += c * u_kernel(H, lam, hs)
+    size = np.zeros(len(hs))
+    for c, lam in zip(coeffs, parts.lambdas):
+        term = c * u_kernel(H, lam, hs)
+        total += term
+        size += np.abs(term)
+    kappa = _expansion_kappa(size, 2.0 * coeffs * (-parts.lambdas) ** (1.0 - 2.0 * H))
+    loose = ~(kappa * _TERM_RTOL <= _EXPANSION_MAX_ERROR)
+    if np.any(loose):
+        i = int(np.argmax(loose))
+        raise RepeatedEigenvaluesError(
+            f"eigen-expansion condition number {kappa[i]:.3g} at h={hs[i]}: "
+            "eigenvalues too clustered for the closed form; use acf_integral_form"
+        )
     total *= 0.5 * model.sigma**2 * gamma_fn(2 * H + 1)
     bad = np.abs(total.imag) > 1e-8 * (np.abs(total) + model.sigma**2)
     if np.any(bad):
@@ -267,7 +450,7 @@ def acf_closed_form(model: CarfimaModel, h):
 
 
 def _expm_lags(A: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """e^{A h} for every lag h of the 1-d array hs, as a (lags, p, p) array.
+    """e^{A h} for every entry h of the 1-d array hs, as a (len(hs), p, p) array.
 
     Scaling and squaring with the [13/13] Pade approximant, batched over
     the lags.  Every matrix is A h, so with t = h / 2^s the numerator and
@@ -278,9 +461,11 @@ def _expm_lags(A: np.ndarray, hs: np.ndarray) -> np.ndarray:
     squares down to zero instead of to NaN.  Then one batched solve gives
     the approximants, and each lag is squared s times.  Every sum runs
     term by term, elementwise, so a lag gives the same bits whatever the
-    other lags of the call.  The one-matrix sites (the quadrature
-    integrands, the decay horizon, the mean trajectory, the Euler
-    propagator) keep scipy's expm, which is faster for a single matrix.
+    other lags of the call.  The entries are the lags of acf_carma, and the
+    flattened nodes of the tanh-sinh rule in acf_integral_form and
+    cov_y0_fbm, where there are (lags x nodes) of them.  The one-matrix
+    sites (the decay horizon, the mean trajectory, the Euler propagator)
+    keep scipy's expm, which is faster for a single matrix.
     """
     p = A.shape[0]
     with np.errstate(divide="ignore"):  # log2(0) = -inf gives s = 0
@@ -318,9 +503,12 @@ def acf_carma(model: CarfimaModel, h):
 
     Both the matrix form beta' e^{Ah} V* beta and, when the eigenvalues are
     distinct, the eigen-sum are computed; they must agree to 1e-9 relative
-    at every lag.  The matrix form is returned.  Its exponentials come from
-    _expm_lags, one batched Pade kernel over all the lags of the call, not
-    one scipy expm per lag.
+    at every lag where the eigen-sum can hold it.  It cannot where clustered
+    eigenvalues make its condition number (_expansion_kappa) exceed the
+    bound acf_closed_form refuses at; those lags are not compared.  The
+    matrix form is returned.  Its exponentials come from _expm_lags, one
+    batched Pade kernel over all the lags of the call, not one scipy expm
+    per lag.
     """
     h = _lag_array(h)
     if model.H != 0.5:
@@ -336,10 +524,12 @@ def acf_carma(model: CarfimaModel, h):
     mat_form = np.sum(_matmul_terms(row, V[None]) * b, axis=-1)[:, 0]
     if parts.distinct:
         coeffs = _eigen_coeffs(model, parts.lambdas)
-        eig_form = model.sigma**2 * np.sum(
-            coeffs * np.exp(parts.lambdas * hs[:, None]), axis=1)
+        terms = coeffs * np.exp(parts.lambdas * hs[:, None])
+        eig_form = model.sigma**2 * np.sum(terms, axis=1)
         scale = np.maximum(np.abs(mat_form), np.abs(eig_form))
         bad = np.abs(mat_form - eig_form) > 1e-9 * scale.clip(1e-12 * float(b @ V @ b))
+        kappa = _expansion_kappa(np.sum(np.abs(terms), axis=1), coeffs)
+        bad &= kappa * _TERM_RTOL <= _EXPANSION_MAX_ERROR
         if np.any(bad):
             i = int(np.argmax(bad))
             raise CarfimaError(
@@ -362,8 +552,11 @@ def acf_tail_asymptote(model: CarfimaModel, h: float) -> float:
 def cov_y0_fbm(model: CarfimaModel, t: float) -> float:
     """Covariance between the stationary Y_0 and the driving fBm at time t.
 
-    Only exposed for alpha_0 = 0, matching the two-sided stationary
-    construction the formula is derived from.
+    H sigma int_0^U psi(u) [(u+t)^{2H-1} - u^{2H-1}] du with
+    psi(u) = beta' e^{Au} delta_p, on the rule of acf_integral_form and
+    under its error contract, with sigma as the scale.  Only exposed for
+    alpha_0 = 0, matching the two-sided stationary construction the formula
+    is derived from.
     """
     if t < 0:
         raise DomainError(f"t must be >= 0, got {t}")
@@ -373,25 +566,27 @@ def cov_y0_fbm(model: CarfimaModel, t: float) -> float:
     if t == 0:  # Y_0 against B_H(0) = 0
         return 0.0
     H = model.H
-    A = parts.A
-    b = parts.beta_vec
-    dp = parts.delta_p
-
-    def psi(u):
-        return b @ expm(A * u) @ dp
-
-    scale = model.sigma
-    U = _decay_horizon(A, rtol=1e-15, weight_exp=max(2 * H - 1, 0.0))
-    shifted = _checked_quad(lambda u: psi(u) * (u + t) ** (2 * H - 1), 0.0, U, scale)
-    plain = _int_power_weight(psi, U, H, scale)
-    return H * model.sigma * (shifted - plain)
+    c = 2.0 * H - 1.0
+    U = _decay_horizon(parts.A, rtol=1e-15, weight_exp=max(c, 0.0))
+    rule = _horizon_rule(parts.lambdas, U, H)
+    psi = _forms(parts.A, rule.w, parts.beta_vec, parts.delta_p)
+    # (w + t)^{2H-1} - w^{2H-1} = w^{2H-1} expm1((2H-1) log(1 + t/w))
+    bracket = np.expm1(c * (np.logaddexp(rule.log_w, math.log(t)) - rule.log_w))
+    coarse, fine = _level_sums(rule.pw * psi * bracket)
+    if not abs(fine - coarse) <= 1e-6 * max(abs(fine), model.sigma):
+        raise QuadratureError(
+            f"quadrature error estimate {abs(fine - coarse):.3e} too large for value "
+            f"{fine:.6e} at t={t}")
+    return H * model.sigma * float(fine)
 
 
 def acf_route(model: CarfimaModel) -> str:
     """The route method="auto" takes, from the model's own H and eigenvalues.
 
     "carma_exact" at H = 1/2 exactly, "closed_form" for distinct
-    eigenvalues, and "quadrature" otherwise.
+    eigenvalues, and "quadrature" otherwise.  Where the closed form then
+    refuses its expansion as ill-conditioned (clustered eigenvalues),
+    autocovariance takes "quadrature" instead.
     """
     if model.H == 0.5:
         return "carma_exact"
@@ -401,15 +596,23 @@ def acf_route(model: CarfimaModel) -> str:
 def autocovariance(model: CarfimaModel, lags, method: str = "auto") -> AcfTable:
     """Autocovariance table on a lag grid by the route method names.
 
-    method="auto" takes acf_route(model); the table's method records the
-    route taken.
+    method="auto" takes acf_route(model), and the integral form when the
+    closed form raises RepeatedEigenvaluesError; the table's method records
+    the route taken.
     """
     lags = np.atleast_1d(np.asarray(lags, dtype=float))
-    if method == "auto":
+    auto = method == "auto"
+    if auto:
         method = acf_route(model)
     routes = {"closed_form": acf_closed_form, "quadrature": acf_integral_form,
               "carma_exact": acf_carma}
     if method not in routes:
         raise DomainError(f"unknown acf method {method!r}")
-    return AcfTable(lags=lags, values=routes[method](model, lags), method=method,
-                    model_hash=model.model_hash())
+    try:
+        values = routes[method](model, lags)
+    except RepeatedEigenvaluesError:
+        if not auto:
+            raise
+        method = "quadrature"
+        values = acf_integral_form(model, lags)
+    return AcfTable(lags=lags, values=values, method=method, model_hash=model.model_hash())

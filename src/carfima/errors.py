@@ -22,7 +22,7 @@ class SingularLyapunovError(CarfimaError):
 
 
 class QuadratureError(CarfimaError):
-    """Adaptive quadrature failed to meet tolerance within budget."""
+    """A quadrature's error estimate exceeded its tolerance."""
 
 
 class TailBoundTooLooseError(CarfimaError):

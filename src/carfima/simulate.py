@@ -209,6 +209,6 @@ def empirical_acf(paths: np.ndarray, max_lag: int, mean: float) -> np.ndarray:
     if not 0 <= max_lag < n:
         raise DomainError("max_lag must satisfy 0 <= max_lag < n")
     out = np.empty((paths.shape[0], max_lag + 1))
-    for k in range(max_lag + 1):
-        out[:, k] = np.mean(paths[:, : n - k] * paths[:, k:], axis=1)
+    for k in range(max_lag + 1):  # one row-wise dot product per lag, no temporaries
+        out[:, k] = np.einsum("ij,ij->i", paths[:, : n - k], paths[:, k:]) / (n - k)
     return out

@@ -22,7 +22,8 @@ from scipy.special import digamma
 from scipy.special import gamma as gamma_fn
 
 from .acf import _write_csv, acf_carma, acf_closed_form, acf_integral_form, acf_route
-from .errors import DomainError, QuadratureError, TailBoundTooLooseError
+from .errors import (DomainError, QuadratureError, RepeatedEigenvaluesError,
+                     TailBoundTooLooseError)
 from .model import CarfimaModel, alpha_poly_coeffs, is_stationary, prepare
 
 DEFAULT_ALIAS_K = 16
@@ -550,7 +551,10 @@ def fourier_consistency_check(
     lags = [float(h) for h in lag_grid]
     route = {"carma_exact": acf_carma, "closed_form": acf_closed_form,
              "quadrature": acf_integral_form}[acf_route(model)]
-    reference = route(model, np.array(lags)).tolist()
+    try:
+        reference = route(model, np.array(lags)).tolist()
+    except RepeatedEigenvaluesError:  # clustered eigenvalues, as in autocovariance
+        reference = acf_integral_form(model, np.array(lags)).tolist()
     transformed = [gamma_hat(h) for h in lags]
     scale = max(abs(g) for g in reference)
     devs = [abs(a - b) / max(abs(b), 1e-6 * scale) for a, b in zip(transformed, reference)]

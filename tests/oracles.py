@@ -5,7 +5,11 @@
   double sum and by the kernel forms (one for each side of H = 1/2);
 * the state-equation Euler path, one sub-step at a time;
 * the CARMA autocovariance beta' e^{Ah} V* beta in 40-digit mpmath;
-* the csv.writer table writer, one row at a time.
+* the csv.writer table writer, one row at a time;
+* the three-integral autocovariance and cov(Y_0, B^H_t) by adaptive
+  QUADPACK, one scipy expm per integrand value;
+* the CAR(1) three-integral autocovariance in 30-digit mpmath;
+* the known-mean sample autocovariances, one lag at a time.
 """
 
 import csv
@@ -17,8 +21,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from carfima import CarfimaModel, DomainError, prepare, simulate_fgn
-from carfima.acf import _decay_horizon
+from carfima import CarfimaModel, DomainError, QuadratureError, prepare, simulate_fgn, vstar
+from carfima.acf import _decay_horizon, _lag_array, _like_lags, _stationary_parts
 from carfima.fgn import _check_h
 
 
@@ -188,3 +192,102 @@ def csv_writer_rows(path, header, columns, constants=()) -> None:
         w.writerow(header)
         for row in zip(*columns):
             w.writerow([*(repr(float(x)) for x in row), *constants])
+
+
+_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-11, limit=400)
+
+
+def _checked_quad(f, a, b, scale):
+    val, err = quad(f, a, b, **_QUAD_OPTS)
+    if err > 1e-6 * max(abs(val), scale):
+        raise QuadratureError(
+            f"quadrature error estimate {err:.3e} too large for value {val:.6e}"
+        )
+    return val
+
+
+def _int_power_weight(f, c, H, scale):
+    """int_0^c f(u) u^{2H-1} du with the endpoint singularity substituted away.
+
+    For H < 1/2 the substitution u = v^{1/(2H)} gives a constant weight; for
+    H >= 1/2, u = v^2 makes the integrand C^1 at the origin.
+    """
+    if c <= 0:
+        return 0.0
+    if H < 0.5:
+        g = 1.0 / (2.0 * H)
+        return _checked_quad(lambda v: f(v**g), 0.0, c ** (2.0 * H), scale) / (2.0 * H)
+    return _checked_quad(
+        lambda v: f(v * v) * 2.0 * v ** (4.0 * H - 1.0), 0.0, math.sqrt(c), scale
+    )
+
+
+def acf_integral_quad(model: CarfimaModel, h):
+    """The three-integral autocovariance by adaptive QUADPACK per lag, each
+    integrand value one scipy expm."""
+    h = _lag_array(h)
+    parts = _stationary_parts(model)
+    H = model.H
+    A = parts.A
+    V = vstar(model)
+    bA = parts.beta_vec @ A
+    Vb = V @ parts.beta_vec
+
+    def phi(s):
+        return bA @ expm(A * s) @ Vb
+
+    scale = abs(float(parts.beta_vec @ V @ parts.beta_vec))
+    U = _decay_horizon(A, rtol=1e-15, weight_exp=max(2 * H - 1, 0.0))
+
+    def at(x):
+        i1 = _int_power_weight(lambda u: phi(x - u), x, H, scale)
+        i3 = _int_power_weight(lambda u: phi(u + x), U, H, scale)
+        if x == 0:  # the second integral is then the third
+            return H * (i1 - i3 - i3)
+        i2 = _checked_quad(lambda w: phi(w) * (w + x) ** (2 * H - 1), 0.0, U, scale)
+        return H * (i1 - i2 - i3)
+
+    return _like_lags([at(x) for x in h.flat], h)
+
+
+def cov_y0_fbm_quad(model: CarfimaModel, t: float) -> float:
+    """cov(Y_0, B^H_t) by adaptive QUADPACK, for alpha_0 = 0 and t > 0."""
+    parts = prepare(model)
+    H = model.H
+    A = parts.A
+
+    def psi(u):
+        return parts.beta_vec @ expm(A * u) @ parts.delta_p
+
+    U = _decay_horizon(A, rtol=1e-15, weight_exp=max(2 * H - 1, 0.0))
+    shifted = _checked_quad(lambda u: psi(u) * (u + t) ** (2 * H - 1), 0.0, U, model.sigma)
+    plain = _int_power_weight(psi, U, H, model.sigma)
+    return H * model.sigma * (shifted - plain)
+
+
+def car1_acf_mpmath(H: float, h: float, a1: float = -1.0, sigma: float = 1.0,
+                    dps: int = 30) -> float:
+    """The CAR(1) autocovariance H (I1 - I2 - I3) by mpmath quadrature at dps
+    digits, with phi(s) = -sigma^2 e^{a1 s} / 2 and the horizon at infinity."""
+    with mpmath.workdps(dps):
+        H, x, lam = mpmath.mpf(H), mpmath.mpf(h), mpmath.mpf(a1)
+        c = 2 * H - 1
+
+        def phi(s):
+            return -mpmath.mpf(sigma) ** 2 * mpmath.exp(lam * s) / 2
+
+        i1 = mpmath.quad(lambda u: phi(x - u) * u**c, [0, x]) if x > 0 else 0
+        i2 = mpmath.quad(lambda w: phi(w) * (w + x) ** c, [0, mpmath.inf])
+        i3 = mpmath.quad(lambda u: phi(u + x) * u**c, [0, mpmath.inf])
+        return float(H * (i1 - i2 - i3))
+
+
+def empirical_acf_loop(paths: np.ndarray, max_lag: int, mean: float) -> np.ndarray:
+    """Known-mean sample autocovariances, one row per path, each lag as the
+    mean of an elementwise product."""
+    paths = np.atleast_2d(np.asarray(paths, dtype=float)) - mean
+    n = paths.shape[1]
+    out = np.empty((paths.shape[0], max_lag + 1))
+    for k in range(max_lag + 1):
+        out[:, k] = np.mean(paths[:, : n - k] * paths[:, k:], axis=1)
+    return out

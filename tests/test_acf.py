@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import time
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from carfima import (
     CarfimaModel,
     CarfimaError,
     DomainError,
+    QuadratureError,
     RepeatedEigenvaluesError,
     SingularLyapunovError,
     acf_carma,
@@ -23,6 +25,7 @@ from carfima import (
     autocovariance,
     cov_y0_fbm,
     prepare,
+    simulate_exact,
     vstar,
 )
 import carfima.acf
@@ -32,7 +35,9 @@ from carfima.simulate import SamplePath
 from carfima.spectrum import spectrum_table
 
 from conftest import car1, model_from_eigenvalues, random_stable_model
-from oracles import carma_acf_mpmath, csv_writer_rows, vstar_integral
+from oracles import (acf_integral_quad, car1_acf_mpmath, carma_acf_mpmath, cov_y0_fbm_quad,
+                     csv_writer_rows, vstar_integral)
+from test_acceptance import MODELS_20
 
 
 class TestVstar:
@@ -102,6 +107,15 @@ class TestLagArrays:
             with pytest.raises(DomainError):
                 route(model, bad)
 
+    @pytest.mark.parametrize("route,H", [(acf_closed_form, 0.7), (acf_integral_form, 0.7),
+                                         (acf_carma, 0.5)])
+    def test_infinite_lag_refused(self, route, H):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for h in (math.inf, np.array([0.0, 1.0, math.inf])):
+                with pytest.raises(DomainError):
+                    route(car1(H), h)
+
     def test_carma_cross_check_bites(self, monkeypatch):
         m = model_from_eigenvalues([-1.0, -2.0], q=1, beta=(0.5,), H=0.5)
         lags = np.linspace(0.0, 5.0, 11)
@@ -152,6 +166,22 @@ class TestClosedForm:
         with pytest.raises(RepeatedEigenvaluesError):
             acf_closed_form(m, 1.0)
 
+    def test_clustered_roots_refused(self):
+        # (z + 1)^3: np.roots splits the triple root by 1e-5, and the weights
+        # cancel to gamma(0) = 1991.8 where the integral form gives 0.0871
+        m = CarfimaModel(p=3, q=0, alpha=(0.0, -1.0, -3.0, -3.0), beta=(), H=0.3, sigma=1.0)
+        assert prepare(m).distinct
+        with pytest.raises(RepeatedEigenvaluesError, match="condition number"):
+            acf_closed_form(m, np.array([0.0, 1.0]))
+
+    def test_sign_change_keeps_the_closed_form(self):
+        # roots -1, -0.5 +- 1i at H = 0.3: gamma crosses zero on this grid,
+        # where sum |c_i u_i| / |gamma(h)| reaches 2.9e3, yet nothing cancels
+        m = CarfimaModel(p=3, q=0, alpha=(0.0, -1.25, -2.25, -2.0), beta=(), H=0.3, sigma=1.0)
+        table = autocovariance(m, np.arange(4001) * 0.01)
+        assert table.method == "closed_form"
+        assert np.min(table.values) < 0 < table.values[0]
+
     def test_nonstationary_refused(self):
         m = car1(0.7, a1=1.0)
         with pytest.raises(DomainError):
@@ -182,6 +212,95 @@ class TestIntegralForm:
     def test_h_negative_rejected(self):
         with pytest.raises(DomainError):
             acf_integral_form(car1(0.3), -1.0)
+
+    def test_no_quad_and_no_expm_per_node(self, monkeypatch):
+        # the only scipy expm calls left are the decay horizon's, as many for
+        # one lag as for eleven, and no QUADPACK call is made at all
+        import scipy.integrate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("QUADPACK call")
+
+        calls = []
+        scipy_expm = carfima.acf.expm
+
+        def counted(M):
+            calls.append(M.shape)
+            return scipy_expm(M)
+
+        monkeypatch.setattr(scipy.integrate, "quad", refuse)
+        monkeypatch.setattr(carfima.acf, "expm", counted)
+        assert not hasattr(carfima.acf, "quad")
+        m = car1(0.7)
+        counts = []
+        for lags in (1.0, np.arange(11) * 0.5):
+            calls.clear()
+            acf_integral_form(m, lags)
+            counts.append(len(calls))
+        calls.clear()
+        carfima.acf._decay_horizon(prepare(m).A, rtol=1e-15, weight_exp=0.4)
+        assert counts == [len(calls), len(calls)] and 0 < len(calls) <= 5
+        calls.clear()
+        cov_y0_fbm(m, 2.0)
+        assert 0 < len(calls) <= 5
+
+    def test_pinned_to_closed_form_and_adaptive_oracle(self):
+        # the criterion-1 models and lags, within 1e-10 of max(|gamma|, 1e-10)
+        lags = np.array([0.0, 0.05, 0.5, 1.0, 2.0, 10.0])
+        for m in MODELS_20:
+            got = acf_integral_form(m, lags)
+            for ref in (acf_closed_form(m, lags), acf_integral_quad(m, lags)):
+                assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(np.abs(ref), 1e-10))
+
+    @pytest.mark.parametrize("H", [0.3, 0.7])
+    def test_double_root_table(self, H):
+        m = CarfimaModel(p=2, q=0, alpha=(0.0, -1.0, -2.0), beta=(), H=H, sigma=1.0)
+        lags = np.linspace(0.0, 40.0, 401)
+        t0 = time.perf_counter()
+        table = autocovariance(m, lags)
+        elapsed = time.perf_counter() - t0
+        assert table.method == "quadrature"
+        idx = [0, 5, 37, 150, 400]
+        ref = acf_integral_quad(m, lags[idx])
+        scale = np.maximum(np.abs(ref), 1e-6 * ref[0])
+        assert np.all(np.abs(table.values[idx] - ref) <= 1e-9 * scale)
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("H", [0.5 - 1e-7, 0.5 + 1e-7])
+    def test_mpmath_near_half(self, H):
+        # I1 and I2 tend to one value here; the adaptive oracle is off by
+        # 2.7e-9 of this scale at lag 20
+        lags = np.array([0.0, 1.0, 5.0, 20.0])
+        ref = np.array([car1_acf_mpmath(H, x) for x in lags])
+        got = acf_integral_form(car1(H), lags)
+        scale = np.maximum(np.abs(ref), 1e-6 * ref[0])
+        assert np.all(np.abs(got - ref) <= 1e-10 * scale)
+
+    def test_far_lags_of_a_slow_model(self):
+        # lags past twice the decay horizon run on the horizon nodes alone
+        m = model_from_eigenvalues([-0.05, -5.0], H=0.3)
+        lags = np.array([0.0, 1.0, 100.0, 1000.0, 4000.0])
+        ref = acf_closed_form(m, lags)
+        got = acf_integral_form(m, lags)
+        assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(np.abs(ref), 1e-6 * ref[0]))
+
+    def test_error_estimate_bites(self, monkeypatch):
+        # one panel for a lightly damped pair: the two levels disagree
+        m = model_from_eigenvalues([-0.25 + 2j, -0.25 - 2j], H=0.7)
+        lags = np.array([0.0, 1.0, 5.0])
+        acf_integral_form(m, lags)
+        cov_y0_fbm(m, 1.0)
+        monkeypatch.setattr(carfima.acf, "_PANEL_RADIANS", 1e9)
+        with pytest.raises(QuadratureError):
+            acf_integral_form(m, lags)
+        with pytest.raises(QuadratureError):
+            cov_y0_fbm(m, 1.0)
+
+    def test_too_many_panels_refused(self):
+        # 1e4 oscillations before the decay: refused before any node is formed
+        m = model_from_eigenvalues([-1e-4 + 1j, -1e-4 - 1j], H=0.7)
+        with pytest.raises(QuadratureError, match="panels"):
+            acf_integral_form(m, 1.0)
 
 
 class TestCarma:
@@ -268,6 +387,42 @@ class TestCarmaKernel:
         assert calls
 
 
+_CLUSTERED = {
+    "triple_root": (0.0, -1.0, -3.0, -3.0),
+    "quadruple_root": (0.0, -1.0, -4.0, -6.0, -4.0),
+    "slow_triple_root": (0.0, -0.001, -0.03, -0.3),
+}
+
+
+class TestClusteredRoots:
+    """np.roots splits a multiple root past the separation gate; the weights
+    of the eigen-expansion then cancel, and the routes must notice."""
+
+    @pytest.mark.parametrize("H", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("name", list(_CLUSTERED))
+    def test_autocovariance_matches_oracle(self, name, H):
+        alpha = _CLUSTERED[name]
+        m = CarfimaModel(p=len(alpha) - 1, q=0, alpha=alpha, beta=(), H=H, sigma=1.0)
+        assert prepare(m).distinct
+        lags = np.array([0.0, 0.5, 2.0, 5.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = autocovariance(m, lags)
+        assert table.method == ("carma_exact" if H == 0.5 else "quadrature")
+        ref = acf_integral_quad(m, lags)
+        assert np.all(np.abs(table.values - ref) <= 1e-6 * np.maximum(np.abs(ref), 1e-10))
+        if H == 0.5:
+            mp = np.array(carma_acf_mpmath(m, lags))
+            assert np.all(np.abs(table.values - mp) <= 1e-12 * np.maximum(np.abs(mp), mp[0]))
+
+    def test_simulate_exact_variance(self):
+        m = CarfimaModel(p=3, q=0, alpha=_CLUSTERED["triple_root"], beta=(), H=0.3, sigma=1.0)
+        gamma0 = float(acf_integral_quad(m, 0.0))
+        assert gamma0 == pytest.approx(0.0871, abs=1e-4)
+        path = simulate_exact(m, 4096, 1.0, seed=11)
+        assert abs(np.mean(path.values**2) / gamma0 - 1.0) < 0.1
+
+
 class TestTailAsymptote:
     def test_sign_negative_below_half(self):
         m = car1(0.3)
@@ -300,8 +455,18 @@ class TestCovY0Fbm:
         def refuse(*args):
             raise AssertionError("quadrature at t = 0")
 
-        monkeypatch.setattr(carfima.acf, "_int_power_weight", refuse)
+        monkeypatch.setattr(carfima.acf, "_horizon_rule", refuse)
         assert cov_y0_fbm(car1(0.7), 0.0) == 0.0
+
+    @pytest.mark.parametrize("m", [
+        car1(0.3), car1(0.7),
+        model_from_eigenvalues([-0.4 + 1.8j, -0.4 - 1.8j], q=1, beta=(0.3,), H=0.3),
+        model_from_eigenvalues([-1.0, -1.0 - 1e-3, -2.5], q=2, beta=(0.4, -0.2), H=0.8),
+    ])
+    def test_pinned_to_adaptive_oracle(self, m):
+        for t in (0.5, 3.0, 20.0):
+            ref = cov_y0_fbm_quad(m, t)
+            assert abs(cov_y0_fbm(m, t) - ref) <= 1e-9 * abs(ref)
 
     def test_brownian_independence(self, ou_model):
         for t in (0.5, 1.0, 4.0):

@@ -258,6 +258,20 @@ class TestVerifyCommand:
         checks = {c["check"]: c for c in report["checks"]}
         assert checks["fourier_vs_acf"]["passed"]
 
+    def test_verify_clustered_roots(self, tmp_path, capsys):
+        # (z + 1)^3: the closed form refuses its ill-conditioned expansion,
+        # and every check takes its reference from quadrature
+        m = CarfimaModel(p=3, q=0, alpha=(0.0, -1.0, -3.0, -3.0), beta=(), H=0.3, sigma=1.0)
+        mf = tmp_path / "m.json"
+        mf.write_text(m.to_json())
+        rc = main(["verify", "--model", str(mf), "--lags", "0:2:0.5",
+                   "--mc-paths", "600", "--mc-n", "128",
+                   "--out", str(tmp_path / "rep.json")])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "note: clustered eigenvalues" in out
+        assert json.loads((tmp_path / "rep.json").read_text())["passed"]
+
     def test_verify_near_half(self, tmp_path, capsys):
         # H = 0.5000001 takes the closed form at its own H in every check,
         # and no warning reports a route

@@ -24,7 +24,7 @@ import carfima.simulate as sim_mod
 from carfima.fgn import _circulant_rows
 
 from conftest import car1
-from oracles import state_euler_loop
+from oracles import empirical_acf_loop, state_euler_loop
 
 
 class TestExactSimulator:
@@ -61,6 +61,13 @@ class TestExactSimulator:
         se = emp.std(axis=0, ddof=1) / math.sqrt(len(emp))
         z = np.abs(emp.mean(axis=0) - gam.values) / se
         assert int(np.sum(z > 3)) <= 2
+
+    def test_empirical_acf_matches_the_loop(self):
+        # one row-wise dot product per lag against the mean of the products
+        paths = exact_gaussian_paths(car1(0.7, a0=0.5), 256, 1.0, 2000, seed=21)
+        got = empirical_acf(paths, 20, mean=0.5)
+        ref = empirical_acf_loop(paths, 20, mean=0.5)
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
 
     def test_antipersistent_sample_sign(self):
         # tail covariances are ~ -5e-4 here, so average enough paths for
