@@ -12,16 +12,14 @@ from .acf import (AcfTable, acf_carma, acf_closed_form, acf_integral_form,
 from .errors import (CarfimaError, ConvergenceError, DomainError,
                      FactorizationFailureError, QuadratureError, RepeatedEigenvaluesError,
                      SingularLyapunovError, TailBoundTooLooseError)
-from .estimate import FitResult, Periodogram, fit, periodogram, profile_sigma2
-from .estimate import whittle_objective
+from .estimate import FitResult, Periodogram, fit, periodogram
 from .fgn import fbm_cov, fgn_autocovariance, simulate_fgn
 from .model import (CarfimaModel, ModelParts, char_poly_eval, is_stationary,
                     mean_trajectory, prepare, stationary_mean)
 from .simulate import (SamplePath, empirical_acf, exact_gaussian_paths, read_path_csv,
                        simulate_exact, simulate_state_euler)
-from .spectrum import (AliasedValue, SpectrumTable, aliased_spectrum,
-                       aliased_spectrum_detail, fourier_consistency_check,
-                       spectral_density, spectrum_table)
+from .spectrum import (SpectrumTable, fourier_consistency_check, spectral_density,
+                       spectrum_table)
 
 __version__ = "0.1.0"
 

@@ -108,20 +108,6 @@ def periodogram(path: SamplePath) -> Periodogram:
                        n=n, step_h=path.step_h)
 
 
-def whittle_objective(pg: Periodogram, model: CarfimaModel,
-                      K: int = DEFAULT_ALIAS_K) -> float:
-    """sum_j [log f_h(w_j) + I(w_j)/f_h(w_j)] over the half grid."""
-    f, _, _ = _AliasSum(pg.omegas, pg.step_h, K)(model)
-    return float(np.sum(np.log(f) + pg.values / f))
-
-
-def profile_sigma2(pg: Periodogram, model: CarfimaModel,
-                   K: int = DEFAULT_ALIAS_K) -> float:
-    """Closed-form minimizer of the objective over sigma^2 at fixed shape."""
-    f, _, _ = _AliasSum(pg.omegas, pg.step_h, K)(model)
-    return model.sigma**2 * float(np.mean(pg.values / f))
-
-
 def _h_bounds(side: str) -> tuple[float, float]:
     if side == "low":
         return H_MIN, 0.5 - H_GAP

@@ -49,8 +49,7 @@ class SamplePath:
             raise DomainError("a sample path needs at least one value")
         if not np.all(np.isfinite(values)):
             raise DomainError("sample path values must be finite")
-        if self.step_h <= 0:
-            raise DomainError(f"step_h must be positive, got {self.step_h}")
+        _check_step(self.step_h)
         object.__setattr__(self, "values", values)
         values.setflags(write=False)
 
@@ -193,8 +192,9 @@ def _state_scan(P: np.ndarray, v: np.ndarray, c: np.ndarray, xi: np.ndarray) -> 
     return (local + starts @ cP.T).ravel()[:total]
 
 
-def _check_step(step_h: float):
-    if not (math.isfinite(step_h) and step_h > 0):
+def _check_step(step_h: float | None) -> None:
+    """The one rule for a sampling step, of paths, simulators and aliased spectra."""
+    if step_h is None or not (math.isfinite(step_h) and step_h > 0):
         raise DomainError(f"step_h must be finite and positive, got {step_h}")
 
 

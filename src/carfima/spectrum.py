@@ -25,9 +25,12 @@ from .acf import _write_csv, acf_carma, acf_closed_form, acf_integral_form, acf_
 from .errors import (DomainError, QuadratureError, RepeatedEigenvaluesError,
                      TailBoundTooLooseError)
 from .model import CarfimaModel, alpha_poly_coeffs, is_stationary, prepare
+from .simulate import MAX_GRID_POINTS, _check_step
 
 DEFAULT_ALIAS_K = 16
 DEFAULT_BRACKET_RTOL = 1e-2
+# largest relative deviation the cosine-transform check passes
+_FOURIER_RTOL = 1e-4
 # alias-sum elements per pass: each temporary holds about 2^15 float64
 # (256 KB: 992 rows of 33 aliases at K = 16, 254 rows of 129 at K = 64),
 # small enough to stay in a per-core L2 cache
@@ -54,12 +57,12 @@ class SpectrumTable:
         values = np.asarray(self.values, dtype=float)
         if omegas.shape != values.shape or omegas.ndim != 1:
             raise DomainError("omegas and values must be 1-d arrays of equal length")
-        if np.any(values < 0):
-            raise DomainError("spectral density values must be nonnegative")
+        if not np.all(values >= 0):
+            raise DomainError("spectral density values must be nonnegative, not NaN")
         if self.kind not in ("continuous", "aliased"):
             raise DomainError(f"unknown spectrum kind {self.kind!r}")
-        if self.kind == "aliased" and (self.step_h is None or self.step_h <= 0):
-            raise DomainError("aliased spectra need a positive step_h")
+        if self.kind == "aliased":
+            _check_step(self.step_h)
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "values", values)
         omegas.setflags(write=False)
@@ -284,19 +287,6 @@ def spectral_density(model: CarfimaModel, omega):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class AliasedValue:
-    """Aliased density with the bracket on the truncated tail."""
-
-    value: float
-    tail_lo: float
-    tail_hi: float
-
-    @property
-    def bracket_width(self) -> float:
-        return self.tail_hi - self.tail_lo
-
-
 class _AliasSum:
     """The alias sum of f_Y over a fixed (omega grid, h, K), for any model.
 
@@ -309,8 +299,10 @@ class _AliasSum:
     def __init__(self, omegas: np.ndarray, step_h: float, K: int):
         if K < 1:
             raise DomainError(f"K must be >= 1, got {K}")
-        if step_h <= 0:
-            raise DomainError(f"step_h must be positive, got {step_h}")
+        if len(omegas) * (2 * K + 1) > MAX_GRID_POINTS:
+            raise DomainError(f"{len(omegas)} frequencies with K = {K} make more than "
+                              f"{MAX_GRID_POINTS} aliases")
+        _check_step(step_h)
         if not np.all(np.abs(omegas) <= math.pi):
             raise DomainError("aliased spectra need every omega in [-pi, pi]")
         self.step_h = step_h
@@ -396,7 +388,8 @@ class _AliasSum:
         lead, r, dlog_lead, dr = _tail_laws(quadratic, linear, beta)
         r_hi = max(float(vals.max()), lead) * (1 + 1e-3)
         r_lo = min(float(vals.min()), lead) * (1 - 1e-3)
-        base = c / h * (2 * math.pi / h) ** -s
+        # a numpy power: inf rather than OverflowError at an extreme h
+        base = c / h * np.float64(2 * math.pi / h) ** -s
         rho = (h / (2 * math.pi)) ** (2 * np.arange(_TAIL_LAWS))
         em, d_em = _em_coefficients(s)
         # the laws' sum sum_j r_j rho_j Z_j, Z_0, and with grad the laws' sum
@@ -449,39 +442,18 @@ class _AliasSum:
         return f, tail_lo, tail_hi, (dtrunc / h + dtail) / f[:, None]
 
 
-def aliased_spectrum_detail(
-    model: CarfimaModel,
-    omega: float,
-    step_h: float,
-    K: int = DEFAULT_ALIAS_K,
-    bracket_rtol: float = DEFAULT_BRACKET_RTOL,
-) -> AliasedValue:
-    """Aliased density at one frequency with the tail bracket exposed."""
-    values, tail_lo, tail_hi = _AliasSum(np.array([float(omega)]), step_h, K)(model)
-    _check_bracket(values, tail_hi - tail_lo, bracket_rtol)
-    return AliasedValue(value=float(values[0]), tail_lo=float(tail_lo[0]),
-                        tail_hi=float(tail_hi[0]))
-
-
 def _check_bracket(values: np.ndarray, width: np.ndarray, rtol: float) -> None:
-    """Raise if the tail bracket exceeds rtol of any finite aliased value."""
-    loose = np.isfinite(values) & (width > rtol * np.abs(values))
+    """Raise if the tail bracket exceeds rtol of an aliased value, or is NaN.
+
+    An infinite value (omega = 0, H > 1/2) passes with any finite bracket;
+    a NaN value or width (an overflow at an extreme step) never passes.
+    """
+    loose = ~(width <= rtol * np.abs(values))
     if np.any(loose):
         i = int(np.argmax(loose))
         raise TailBoundTooLooseError(
             f"tail bracket width {width[i]:.3e} exceeds {rtol:.1e} of value {values[i]:.6e}"
         )
-
-
-def aliased_spectrum(
-    model: CarfimaModel,
-    omega: float,
-    step_h: float,
-    K: int = DEFAULT_ALIAS_K,
-    bracket_rtol: float = DEFAULT_BRACKET_RTOL,
-) -> float:
-    """Spectral density of the h-sampled process at omega in [-pi, pi]."""
-    return aliased_spectrum_detail(model, omega, step_h, K, bracket_rtol).value
 
 
 def spectrum_table(
@@ -491,24 +463,24 @@ def spectrum_table(
     step_h: float | None = None,
     K: int = DEFAULT_ALIAS_K,
 ) -> SpectrumTable:
-    """Tabulate f_Y, or the aliased f_h on a frequency grid inside [-pi, pi]."""
+    """Tabulate f_Y, or the aliased f_h on a frequency grid inside [-pi, pi].
+
+    An aliased value whose alias-tail bracket is wider than
+    DEFAULT_BRACKET_RTOL of it raises TailBoundTooLooseError.
+    """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     if kind == "continuous":
         values = spectral_density(model, omegas)
         return SpectrumTable(omegas=omegas, values=values, kind=kind)
     if kind != "aliased":
         raise DomainError(f"unknown spectrum kind {kind!r}")
-    if step_h is None:
-        raise DomainError("aliased spectra need step_h")
     values, tail_lo, tail_hi = _AliasSum(omegas, step_h, K)(model)
     _check_bracket(values, tail_hi - tail_lo, DEFAULT_BRACKET_RTOL)
     return SpectrumTable(omegas=omegas, values=values, kind=kind, step_h=step_h,
                          truncation_K=K)
 
 
-def fourier_consistency_check(
-    model: CarfimaModel, lag_grid=(0.0, 1.0, 5.0), tolerance: float = 1e-4
-) -> dict:
+def fourier_consistency_check(model: CarfimaModel, lag_grid=(0.0, 1.0, 5.0)) -> dict:
     """Cosine transform of the spectral density versus the ACF routes.
 
     gamma_hat(h) = 2 int_0^inf f_Y(w) cos(w h) dw, split at w = 1: the
@@ -565,6 +537,6 @@ def fourier_consistency_check(
         "fourier": transformed,
         "deviations": devs,
         "max_rel_dev": max_dev,
-        "tolerance": tolerance,
-        "passed": bool(max_dev < tolerance),
+        "tolerance": _FOURIER_RTOL,
+        "passed": bool(max_dev < _FOURIER_RTOL),
     }

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from carfima import CarfimaModel, read_path_csv
 from carfima.cli import MAX_GRID_POINTS, build_parser, main
@@ -139,6 +146,18 @@ class TestSpectrumCommand:
         assert rc == 0
         assert ",aliased,1.0,32" in out.read_text()
 
+    @pytest.mark.parametrize("h", ["0", "-1", "nan", "inf"])
+    def test_bad_step_is_validation_error(self, frac_file, tmp_path, capsys, h):
+        # inf once reached np.geomspace and nan wrote a table of NaN rows
+        out = tmp_path / "spec.csv"
+        rc = main(["spectrum", "--model", frac_file, "--out", str(out), "--aliased",
+                   f"--h={h}"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: step_h must be finite and positive")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestSimulateAndFit:
     def test_simulate_round_trip(self, frac_file, tmp_path):
@@ -219,6 +238,52 @@ class TestSimulateAndFit:
         for argv in (["spectrum", "--model", "m.json", "--out", "s.csv"],
                      ["fit", "--path", "p.csv", "--out", "f.json", "--p", "1"]):
             assert parser.parse_args(argv).K == DEFAULT_ALIAS_K
+
+
+_BAD_REALS = ["0", "-1", "nan", "inf", "1e300"]
+_BAD_COUNTS = ["0", "-3", "nan", "inf", str(10**18)]
+_MODELS = [car1(0.7), car1(0.5),
+           CarfimaModel(p=2, q=1, alpha=(0.0, -1.0, -1.5), beta=(0.5,), H=0.3, sigma=1.0)]
+
+
+def _flag(valid, bad=_BAD_REALS):
+    """The valid value half the time; otherwise zero, negative, NaN, infinite or huge."""
+    return st.one_of(st.just(valid), st.sampled_from(bad))
+
+
+def _grid(valid, bad_size):
+    """The valid a:b:size grid half the time; otherwise one part drawn from the bad values."""
+    parts = valid.split(":")
+    variants = [":".join(parts[:i] + [v] + parts[i + 1:])
+                for i, bad in enumerate((_BAD_REALS, _BAD_REALS, bad_size)) for v in bad]
+    return st.one_of(st.just(valid), st.sampled_from(variants))
+
+
+class TestErrorContract:
+    # --h inf once reached np.geomspace and escaped as a ValueError
+    @example(model=_MODELS[0], command="spectrum", aliased=True, omegas="0:3:9", h="inf",
+             K="16", lags="0:10:0.5")
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(model=st.sampled_from(_MODELS), command=st.sampled_from(["spectrum", "acf"]),
+           aliased=st.booleans(), omegas=_grid("-0.5:3:9", _BAD_COUNTS),
+           h=_flag("0.5"), K=_flag("16", _BAD_COUNTS),
+           lags=_grid("0.5:10:0.5", _BAD_REALS))
+    def test_exit_code_without_traceback(self, model, command, aliased, omegas, h, K, lags):
+        if command == "spectrum":
+            args = [f"--omegas={omegas}", f"--h={h}", f"--K={K}"] + ["--aliased"] * aliased
+        else:
+            args = [f"--lags={lags}"]
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            model_file = Path(tmp) / "model.json"
+            model_file.write_text(model.to_json())
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                    warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore")
+                rc = main([command, "--model", str(model_file),
+                           "--out", str(Path(tmp) / "out.csv"), *args])
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestVerifyCommand:

@@ -15,16 +15,14 @@ from carfima import (
     Periodogram,
     SamplePath,
     TailBoundTooLooseError,
-    aliased_spectrum_detail,
     exact_gaussian_paths,
     fit,
     periodogram,
-    profile_sigma2,
     simulate_exact,
     spectral_density,
-    whittle_objective,
 )
-from carfima.estimate import _alpha_coeffs, _alpha_jacobian, _profiled, _split
+from carfima.estimate import _alpha_coeffs, _alpha_jacobian, _log_factors, _profiled, _split
+from carfima.model import alpha_poly_coeffs
 from carfima.spectrum import DEFAULT_ALIAS_K, _AliasSum
 
 from conftest import car1, model_from_eigenvalues
@@ -33,6 +31,21 @@ from conftest import car1, model_from_eigenvalues
 def _path(values, h=1.0):
     return SamplePath(values=np.asarray(values, dtype=float), step_h=h,
                       model_hash="test", seed=0, method="exact_gaussian")
+
+
+def _whittle(pg, model, K=DEFAULT_ALIAS_K):
+    """sum_j [log f_h(w_j) + I(w_j)/f_h(w_j)] at the model's own sigma."""
+    f = _AliasSum(pg.omegas, pg.step_h, K)(model)[0]
+    return float(np.sum(np.log(f) + pg.values / f))
+
+
+def _profile(pg, model, K=DEFAULT_ALIAS_K):
+    """(Q, s2): the objective fit minimises at the model's shape, and its sigma^2."""
+    theta = np.concatenate([_log_factors(np.roots(alpha_poly_coeffs(model))),
+                            model.beta, [model.H]])
+    objective = _profiled(_AliasSum(pg.omegas, pg.step_h, K), pg.values, model.p, model.q)
+    value, _, g = objective(theta)[:3]
+    return value, float(np.mean(pg.values / g))
 
 
 class TestPeriodogram:
@@ -73,10 +86,10 @@ class TestWhittleObjective:
         reps = 20
         for r in range(reps):
             pg = periodogram(simulate_exact(m, 1024, 1.0, seed=900 + r))
-            at_true = whittle_objective(pg, m)
+            at_true = _whittle(pg, m)
             worse = min(
-                whittle_objective(pg, car1(0.55)),
-                whittle_objective(pg, car1(0.85)),
+                _whittle(pg, car1(0.55)),
+                _whittle(pg, car1(0.85)),
             )
             wins += at_true < worse
         assert wins >= reps // 2 + 1  # median over replications
@@ -84,34 +97,35 @@ class TestWhittleObjective:
     def test_finite_for_antipersistent_near_zero(self):
         m = car1(0.25)
         pg = periodogram(simulate_exact(m, 512, 1.0, seed=4))
-        assert math.isfinite(whittle_objective(pg, m))
+        assert math.isfinite(_whittle(pg, m))
 
-    def test_profile_sigma2_matches_numerical(self):
+    def test_profiled_sigma2_matches_numerical(self):
         m = car1(0.7)
         pg = periodogram(simulate_exact(m, 2048, 1.0, seed=12))
-        s2_hat = profile_sigma2(pg, m)
+        s2_hat = _profile(pg, m)[1]
         res = minimize_scalar(
-            lambda s2: whittle_objective(
+            lambda s2: _whittle(
                 pg, car1(0.7, sigma=math.sqrt(s2))),
             bracket=(0.5 * s2_hat, s2_hat, 2.0 * s2_hat),
         )
         assert s2_hat == pytest.approx(res.x, rel=1e-6)
 
-    def test_profile_sigma2_is_optimal_on_grid(self):
+    def test_profiled_sigma2_is_optimal_on_grid(self):
         m = car1(0.3)
         pg = periodogram(simulate_exact(m, 1024, 1.0, seed=3))
-        s2_hat = profile_sigma2(pg, m)
-        best = whittle_objective(pg, car1(0.3, sigma=math.sqrt(s2_hat)))
+        value, s2_hat = _profile(pg, m)
+        best = _whittle(pg, car1(0.3, sigma=math.sqrt(s2_hat)))
+        assert best == pytest.approx(value, rel=1e-12)
         for f in np.linspace(0.6, 1.6, 10):
-            other = whittle_objective(pg, car1(0.3, sigma=math.sqrt(f * s2_hat)))
+            other = _whittle(pg, car1(0.3, sigma=math.sqrt(f * s2_hat)))
             assert best <= other + 1e-10
 
     def test_mean_shift_invariance(self):
         m = car1(0.7)
         path = simulate_exact(m, 512, 1.0, seed=6)
         shifted = _path(path.values + 17.3)
-        a = whittle_objective(periodogram(path), m)
-        b = whittle_objective(periodogram(shifted), m)
+        a = _whittle(periodogram(path), m)
+        b = _whittle(periodogram(shifted), m)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_identifiability_separation(self):
@@ -121,30 +135,32 @@ class TestWhittleObjective:
         wins = 0
         for r in range(20):
             pg = periodogram(simulate_exact(m, 1024, 1.0, seed=700 + r))
-            wins += whittle_objective(pg, m) < whittle_objective(pg, other)
+            wins += _whittle(pg, m) < _whittle(pg, other)
         assert wins >= 19
 
     def test_nonstationary_rejected(self):
         pg = periodogram(_path(np.random.default_rng(1).standard_normal(256)))
         with pytest.raises(DomainError):
-            whittle_objective(pg, car1(0.7, a1=0.4))
+            _whittle(pg, car1(0.7, a1=0.4))
 
-    def test_profile_sigma2_rejects_nonstationary(self):
-        # root +0.5: the alias sum's stationarity gate refuses it
+    def test_profiled_sigma2_rejects_nonstationary(self):
+        # root +0.5: a log-factor coordinate of the fit cannot express it
         pg = Periodogram(omegas=np.array([0.5]), values=np.array([1.0]), n=3, step_h=1.0)
         with pytest.raises(DomainError):
-            profile_sigma2(pg, car1(0.5, a1=0.5))
+            _profile(pg, car1(0.5, a1=0.5))
 
-    def test_matches_objective_from_printed_aliased_spectrum(self):
+    def test_profiled_objective_matches_pointwise_spectrum(self):
         # a resonance at 50 rad/s lies inside the tail bracket's grid at K = 2,
-        # so the bracket depends on where that grid samples the ratio
+        # so the bracket depends on where that grid samples the ratio; the
+        # objective on the full grid equals the one from one-row alias sums
         m = model_from_eigenvalues([-1 + 50j, -1 - 50j, -2.0], H=0.3)
         pg = periodogram(_path(np.random.default_rng(0).standard_normal(256)))
-        f = np.array([aliased_spectrum_detail(m, float(w), 1.0, K=2,
-                                              bracket_rtol=math.inf).value
-                      for w in pg.omegas])
+        f = np.array([_AliasSum(np.array([w]), 1.0, 2)(m)[0][0] for w in pg.omegas])
         expected = float(np.sum(np.log(f) + pg.values / f))
-        assert whittle_objective(pg, m, K=2) == pytest.approx(expected, rel=1e-12)
+        assert _whittle(pg, m, K=2) == pytest.approx(expected, rel=1e-12)
+        s2 = float(np.mean(pg.values / f))
+        profiled = len(f) * math.log(s2) + float(np.sum(np.log(f))) + len(f)
+        assert _profile(pg, m, K=2)[0] == pytest.approx(profiled, rel=1e-12)
 
 
 class TestFit:
@@ -229,10 +245,7 @@ class TestFit:
         r = fit(path, 2, 1, seed=0, n_starts=4)
         assert r.converged
         assert r.stationarity_ok
-        truth = whittle_objective(periodogram(path), CarfimaModel(
-            p=2, q=1, alpha=m.alpha, beta=m.beta, H=m.H,
-            sigma=math.sqrt(profile_sigma2(periodogram(path), m))))
-        assert r.objective_value <= truth
+        assert r.objective_value <= _profile(periodogram(path), m)[0]
 
     def test_stderr_of_h_matches_central_differences(self):
         # the first criterion-9 path at H0 = 0.7; the oracle differentiates the
@@ -274,12 +287,14 @@ class TestProfiledObjective:
         # central differences, tail bracket included
         fd = _central_differences(lambda t: objective(t)[0], theta)
         assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
-        # one engine: the same value as whittle_objective after profiling
+        # one engine: the same value as the unprofiled objective at the
+        # closed-form sigma^2
         quadratic, linear = _split(theta, p, q)[:2]
         shape = CarfimaModel(p=p, q=q, alpha=(0.0, *_alpha_coeffs(quadratic, linear)),
                              beta=tuple(beta), H=H, sigma=1.0)
-        profiled = replace(shape, sigma=math.sqrt(profile_sigma2(pg, shape)))
-        assert value == pytest.approx(whittle_objective(pg, profiled, K=64), rel=1e-12)
+        s2 = float(np.mean(pg.values / _AliasSum(pg.omegas, pg.step_h, 64)(shape)[0]))
+        profiled = replace(shape, sigma=math.sqrt(s2))
+        assert value == pytest.approx(_whittle(pg, profiled, K=64), rel=1e-12)
         # the factor-to-coefficient Jacobian that maps the standard errors
         jac = _alpha_jacobian(quadratic, linear)
         fd = _central_differences(lambda t: _alpha_coeffs(*_split(t, p, q)[:2]), theta)

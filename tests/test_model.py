@@ -264,7 +264,9 @@ class TestPublicSurface:
         for name in carfima.__all__:
             assert not isinstance(getattr(carfima, name), ModuleType), name
         removed = {"CompanionSystem", "EigenStructure", "build_companion",
-                   "eigen_structure", "StationaryStateCov"}
+                   "eigen_structure", "StationaryStateCov", "aliased_spectrum",
+                   "aliased_spectrum_detail", "AliasedValue", "whittle_objective",
+                   "profile_sigma2"}
         assert not removed & set(carfima.__all__)
         assert "prepare" in carfima.__all__ and "autocovariance" in carfima.__all__
 

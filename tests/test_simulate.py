@@ -11,6 +11,7 @@ from carfima import (
     CarfimaModel,
     DomainError,
     FactorizationFailureError,
+    SamplePath,
     acf_carma,
     autocovariance,
     empirical_acf,
@@ -18,6 +19,7 @@ from carfima import (
     read_path_csv,
     simulate_exact,
     simulate_state_euler,
+    spectrum_table,
     stationary_mean,
 )
 import carfima.simulate as sim_mod
@@ -224,12 +226,16 @@ class TestStateEuler:
         assert simulate_state_euler(car1(0.7), 16, 1.0, 2, seed=0).n == 16
 
 
-@pytest.mark.parametrize("step_h", [0.0, -1.0, math.nan, math.inf])
+# one rule for every sampling step: paths, both simulators and aliased spectra
+@pytest.mark.parametrize("step_h", [0.0, -1.0, math.nan, math.inf, None])
 @pytest.mark.parametrize("simulate", [
     lambda h: simulate_state_euler(car1(0.7), 64, h, 8, seed=0),
     lambda h: simulate_exact(car1(0.7), 64, h, seed=0),
     lambda h: exact_gaussian_paths(car1(0.7), 64, h, 3, seed=0),
-], ids=["state_euler", "exact", "exact_paths"])
+    lambda h: SamplePath(values=np.zeros(4), step_h=h, model_hash="", seed=0,
+                         method="exact_gaussian"),
+    lambda h: spectrum_table(car1(0.7), [0.5], kind="aliased", step_h=h),
+], ids=["state_euler", "exact", "exact_paths", "sample_path", "aliased_table"])
 def test_bad_step_rejected_before_any_work(monkeypatch, simulate, step_h):
     def no_work(*args, **kwargs):
         raise AssertionError("work began before step_h was checked")

@@ -12,14 +12,12 @@ from carfima import (
     DomainError,
     TailBoundTooLooseError,
     acf_carma,
-    aliased_spectrum,
-    aliased_spectrum_detail,
     autocovariance,
     fourier_consistency_check,
     spectral_density,
     spectrum_table,
 )
-from carfima.spectrum import DEFAULT_BRACKET_RTOL, SpectrumTable
+from carfima.spectrum import DEFAULT_ALIAS_K, DEFAULT_BRACKET_RTOL, SpectrumTable, _AliasSum
 
 from conftest import car1, model_from_eigenvalues, random_stable_model
 
@@ -70,12 +68,22 @@ class TestSpectralDensity:
             spectral_density(car1(0.5, a1=0.5), 1.0)
 
 
+def _aliased(m, omega, step_h, K=DEFAULT_ALIAS_K):
+    """f_h at one frequency: a one-row aliased table, bracket checked."""
+    return spectrum_table(m, [omega], kind="aliased", step_h=step_h, K=K).values[0]
+
+
+def _raw(m, omega, step_h, K=DEFAULT_ALIAS_K):
+    """(f_h, bracket width) at one frequency from the engine, bracket unchecked."""
+    values, tail_lo, tail_hi = _AliasSum(np.array([float(omega)]), step_h, K)(m)
+    return values[0], tail_hi[0] - tail_lo[0]
+
+
 class TestAliasedSpectrum:
     def test_even_symmetry(self):
         m = car1(0.7)
         for w in (0.3, 1.2, 3.0):
-            assert aliased_spectrum(m, w, 1.0) == pytest.approx(
-                aliased_spectrum(m, -w, 1.0), rel=1e-14)
+            assert _aliased(m, w, 1.0) == pytest.approx(_aliased(m, -w, 1.0), rel=1e-14)
 
     def test_ou_matches_discrete_acf_sum(self, ou_model):
         # f_h(w) = (1/2pi) sum_j gamma(jh) e^{-ijw}; OU gamma decays fast
@@ -84,46 +92,61 @@ class TestAliasedSpectrum:
         gam = 0.5 * np.exp(-np.abs(js) * h)
         for w in (0.3, 1.0, 2.5):
             direct = float(np.sum(gam * np.cos(js * w))) / (2 * math.pi)
-            detail = aliased_spectrum_detail(ou_model, w, h)
-            assert abs(detail.value - direct) <= detail.bracket_width + 1e-9 * direct
+            value, width = _raw(ou_model, w, h)
+            assert value == _aliased(ou_model, w, h)
+            assert abs(value - direct) <= width + 1e-9 * direct
 
     def test_doubling_K_stays_within_bracket(self):
         m = car1(0.7)
-        d8 = aliased_spectrum_detail(m, 0.5, 1.0, K=8, bracket_rtol=1.0)
-        d16 = aliased_spectrum_detail(m, 0.5, 1.0, K=16, bracket_rtol=1.0)
-        assert abs(d16.value - d8.value) < d8.bracket_width
+        v8, width8 = _raw(m, 0.5, 1.0, K=8)
+        v16, width16 = _raw(m, 0.5, 1.0, K=16)
+        assert width8 <= abs(v8) and width16 <= abs(v16)
+        assert abs(v16 - v8) < width8
 
     def test_variance_identity(self):
         # integral of f_h over [-pi, pi] equals gamma(0); 0 stays an endpoint
         for H in (0.3, 0.7):
             m = car1(H)
-            val, _ = quad(lambda w: aliased_spectrum(m, w, 1.0), 0.0, math.pi,
-                          limit=200)
+            val, _ = quad(lambda w: _aliased(m, w, 1.0), 0.0, math.pi, limit=200)
             val *= 2
             g0 = autocovariance(m, [0.0]).values[0]
-            detail = aliased_spectrum_detail(m, 1.0, 1.0)
-            tol = 2 * math.pi * detail.bracket_width + 1e-4 * g0
+            width = _raw(m, 1.0, 1.0)[1]
+            tol = 2 * math.pi * width + 1e-4 * g0
             assert abs(val - g0) <= tol
 
     def test_tail_bound_too_loose_raises(self):
+        # at K = 1 and h = 4 the bracket is 9 % of the value, at h = 1 0.4 %
+        value, width = _raw(car1(0.25), 1.0, 4.0, K=1)
+        assert width > DEFAULT_BRACKET_RTOL * value
         with pytest.raises(TailBoundTooLooseError):
-            aliased_spectrum(car1(0.25), 1.0, 1.0, K=1, bracket_rtol=1e-6)
+            _aliased(car1(0.25), 1.0, 4.0, K=1)
+        _aliased(car1(0.25), 1.0, 1.0, K=1)
 
     def test_loose_bracket_raises_by_both_routes(self):
         # at h = 1000 the first omitted alias of K = 16 sits at |W| = 0.1, below
-        # the root at 1, and the tail bracket is 27 times the value at omega = 0.5
+        # the root at 1, and the tail bracket is 27 times the value at omega = 0.5;
+        # a one-row table and a two-row table both refuse it
         with pytest.raises(TailBoundTooLooseError):
-            aliased_spectrum(car1(0.7), 0.5, 1000.0)
+            _aliased(car1(0.7), 0.5, 1000.0)
         with pytest.raises(TailBoundTooLooseError):
             spectrum_table(car1(0.7), [0.1, 0.5], kind="aliased", step_h=1000.0)
 
     def test_omega_range_enforced(self):
         with pytest.raises(DomainError):
-            aliased_spectrum(car1(0.7), 4.0, 1.0)
+            _aliased(car1(0.7), 4.0, 1.0)
 
     def test_inf_at_zero_for_long_memory(self):
-        d = aliased_spectrum_detail(car1(0.7), 0.0, 1.0)
-        assert d.value == math.inf
+        assert _aliased(car1(0.7), 0.0, 1.0) == math.inf
+
+    @pytest.mark.parametrize("step_h", [1e-300, 1e100, 1e200, 1e300])
+    def test_extreme_step_is_a_loose_bracket(self, step_h):
+        # the alias sum over- or underflows: NaN values and brackets are refused
+        with np.errstate(all="ignore"), pytest.raises(TailBoundTooLooseError):
+            spectrum_table(car1(0.7), [0.0, 0.5], kind="aliased", step_h=step_h)
+
+    def test_oversized_alias_grid_rejected(self):
+        with pytest.raises(DomainError, match="aliases"):
+            spectrum_table(car1(0.7), [0.5], kind="aliased", step_h=1.0, K=10**12)
 
 
 class TestAliasedTailOracle:
@@ -188,6 +211,8 @@ class TestSpectrumTable:
         t = spectrum_table(car1(0.3), np.linspace(0, 3, 7))
         assert t.kind == "continuous"
         assert np.all(t.values >= 0)
+        with pytest.raises(DomainError):
+            spectrum_table(car1(0.3), [0.5, math.nan])
 
     def test_aliased_table_and_csv(self, tmp_path):
         t = spectrum_table(car1(0.7), np.linspace(-3, 3, 9), kind="aliased",
@@ -208,7 +233,7 @@ class TestSpectrumTable:
         m = model_from_eigenvalues([-1.0, -2.0], q=1, beta=(0.5,), H=0.3, sigma=1.2)
         omegas = np.linspace(-math.pi, math.pi, 1100)
         t = spectrum_table(m, omegas, kind="aliased", step_h=0.5, K=32)
-        point = [aliased_spectrum(m, float(w), 0.5, K=32) for w in omegas]
+        point = [_aliased(m, w, 0.5, K=32) for w in omegas]
         assert t.values == pytest.approx(point, rel=1e-12)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -218,21 +243,21 @@ class TestSpectrumTable:
         # when some frequency's bracket is loose
         m = random_stable_model(np.random.default_rng(seed))
         omegas = np.linspace(-math.pi, math.pi, 9)
-        details = [aliased_spectrum_detail(m, float(w), step_h, bracket_rtol=math.inf)
-                   for w in omegas]
-        if any(math.isfinite(d.value) and d.bracket_width > DEFAULT_BRACKET_RTOL * d.value
-               for d in details):
+        rows = [_raw(m, w, step_h) for w in omegas]
+        if any(math.isfinite(value) and width > DEFAULT_BRACKET_RTOL * value
+               for value, width in rows):
             with pytest.raises(TailBoundTooLooseError):
                 spectrum_table(m, omegas, kind="aliased", step_h=step_h)
         else:
             t = spectrum_table(m, omegas, kind="aliased", step_h=step_h)
-            assert t.values == pytest.approx([d.value for d in details], rel=1e-12)
+            assert t.values == pytest.approx([value for value, _ in rows], rel=1e-12)
 
     def test_aliased_table_rejects_nonstationary(self):
         with pytest.raises(DomainError):
             spectrum_table(car1(0.5, a1=0.5), [0.5], kind="aliased", step_h=1.0)
 
     def test_negative_values_rejected(self):
-        with pytest.raises(DomainError):
-            SpectrumTable(omegas=np.array([0.0]), values=np.array([-1.0]),
-                          kind="continuous")
+        for value in (-1.0, math.nan):
+            with pytest.raises(DomainError):
+                SpectrumTable(omegas=np.array([0.0]), values=np.array([value]),
+                              kind="continuous")
