@@ -7,6 +7,10 @@
 * the exact matrix expression at H = 1/2, where the process degenerates
   to a CARMA process.
 
+acf_route picks the route from the model alone, before any lag is
+evaluated (_expansion_weights), so a lag's route and bits never depend on
+the other lags of a call.
+
 Each route takes a scalar lag or an array of lags and returns a float or
 an array to match.  The parts that depend on the model alone (V*, the
 eigen weights, the decay horizon and the Gamma(2H+1) prefactor) are
@@ -44,11 +48,11 @@ from .specfun import u_kernel
 LYAPUNOV_RESIDUAL_RTOL = 1e-8
 
 # An eigen-expansion sum_i c_i u_i(h) is trusted while its condition number
-# kappa (_expansion_kappa) times _TERM_RTOL, the accuracy of one term (the
+# kappa (_expansion_weights) times _TERM_RTOL, the accuracy of one term (the
 # kernel's against 30-digit mpmath, test_specfun), stays within
 # _EXPANSION_MAX_ERROR.  Clustered roots make the weights c_i large and
-# cancelling: the closed form refuses them, and at H = 1/2 the eigen
-# cross-check skips them.
+# cancelling: acf_route then takes the integral form, the closed form
+# refuses them, and at H = 1/2 the eigen cross-check is not run.
 _TERM_RTOL = 1e-13
 _EXPANSION_MAX_ERROR = 1e-10
 
@@ -58,6 +62,8 @@ _EXPANSION_MAX_ERROR = 1e-10
 # k are the coarse level (step _TS_STEP); all k are the fine level.
 _TS_STEP = 1.0 / 16
 _TS_TAU_MAX = 3.5
+# the largest level difference a value passes, relative to max(|value|, scale)
+_QUAD_RTOL = 1e-6
 # the rule on [0, U] runs in panels short enough that the fastest
 # oscillation, max |Im lambda|, turns by at most this many radians on one;
 # a model that needs more panels than _MAX_PANELS (115 000 nodes) is refused
@@ -220,6 +226,19 @@ def _level_sums(terms):
     return 2.0 * even, even + odd
 
 
+def _check_levels(coarse, fine, scale: float, name: str, at) -> None:
+    """Raise QuadratureError where the tanh-sinh levels differ by more than
+    _QUAD_RTOL max(|fine|, scale); at holds the lags or times of the values,
+    which the message names as name=."""
+    coarse, fine, at = np.atleast_1d(coarse), np.atleast_1d(fine), np.atleast_1d(at)
+    bad = ~(np.abs(fine - coarse) <= _QUAD_RTOL * np.maximum(np.abs(fine), scale))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise QuadratureError(
+            f"quadrature error estimate {abs(fine[k] - coarse[k]):.3e} too large "
+            f"for value {fine[k]:.6e} at {name}={at[k]}")
+
+
 @dataclass(frozen=True)
 class _Horizon:
     """The tanh-sinh rule on [0, U] in panels of length P.
@@ -312,11 +331,11 @@ def acf_integral_form(model: CarfimaModel, h):
 
     Every integral is a fixed tanh-sinh rule at two levels: the fine level
     is returned, and the difference between the levels is its error
-    estimate, which must stay within 1e-6 max(|gamma|, beta' V* beta) at
-    every lag, or QuadratureError is raised.  M, K and the part of D on
-    whole panels below x run on the horizon nodes of _horizon_rule, whose
-    exponentials are formed once per call; the part of D near x runs on a
-    (lags x nodes) grid.  The exponentials come from _expm_lags, every sum
+    estimate, which must stay within _QUAD_RTOL max(|gamma|, beta' V* beta)
+    at every lag, or QuadratureError is raised (_check_levels).  M, K and
+    the part of D on whole panels below x run on the horizon nodes of
+    _horizon_rule, whose exponentials are formed once per call; the part of
+    D near x runs on a (lags x nodes) grid.  The exponentials come from _expm_lags, every sum
     runs elementwise, and the lags are taken in blocks, so each lag gives
     the same bits whatever the other lags of the call.
     """
@@ -364,12 +383,7 @@ def acf_integral_form(model: CarfimaModel, h):
             for level, d in zip(levels, _near_lag_piece(A, row, col, H, x[near], start)):
                 level[near] += d
         coarse, fine = H * levels[0], H * levels[1]
-        bad = ~(np.abs(fine - coarse) <= 1e-6 * np.maximum(np.abs(fine), scale))
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise QuadratureError(
-                f"quadrature error estimate {abs(fine[k] - coarse[k]):.3e} too large "
-                f"for value {fine[k]:.6e} at h={x[k]}")
+        _check_levels(coarse, fine, scale, "h", x)
         out[i:i + block] = fine
     return _like_lags(out, h)
 
@@ -384,60 +398,54 @@ def _eigen_coeffs(model: CarfimaModel, lambdas: np.ndarray) -> np.ndarray:
     return out
 
 
-def _expansion_kappa(size: np.ndarray, at0: np.ndarray) -> np.ndarray:
-    """Condition number of an eigen-expansion at each lag.
+def _expansion_weights(model: CarfimaModel, parts) -> tuple[np.ndarray | None, float]:
+    """The eigen weights c_i if the eigen-expansion is trusted (else None), and kappa.
 
-    size holds sum_i |term_i| at each lag and at0 the terms at lag 0.  Over
-    the lag-0 value |sum at0|, which bounds every lag's value, and never
-    below the lag-0 ratio sum |at0| / |sum at0|: a lag-0 value lost to
-    cancellation then cannot make kappa small, and, unlike each lag's own
-    value, it does not vanish where the autocovariance changes sign.
+    kappa = sum |t_i| / |sum t_i| over the lag-0 terms t_i = 2 c_i
+    (-lambda_i)^{1-2H}.  Trusted means distinct eigenvalues and kappa *
+    _TERM_RTOL within _EXPANSION_MAX_ERROR; a model that is not stationary
+    or distinct gives (None, inf).  The separation test is not redundant: a
+    root of beta cancelling one root of a near-double pair leaves kappa
+    near 1 while the weights of the pair have lost their digits.
     """
-    with np.errstate(divide="ignore"):
-        return np.maximum(size, np.sum(np.abs(at0))) / abs(np.sum(at0))
+    if not (parts.distinct and parts.stationary):
+        return None, math.inf
+    coeffs = _eigen_coeffs(model, parts.lambdas)
+    at0 = 2.0 * coeffs * (-parts.lambdas) ** (1.0 - 2.0 * model.H)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = float(np.sum(np.abs(at0)) / abs(np.sum(at0)))
+    return (coeffs if kappa * _TERM_RTOL <= _EXPANSION_MAX_ERROR else None), kappa
 
 
 def acf_closed_form(model: CarfimaModel, h):
     """Autocovariance at lag(s) h from the closed eigen-expansion.
 
-    Requires distinct eigenvalues; the conjugate-pair structure makes the
-    complex sum real, and a residual imaginary part above
-    1e-8 (|value| + sigma^2) is treated as a branch-selection bug.  The
-    eigen weights and the Gamma(2H+1) prefactor are computed once per call,
-    and u_kernel runs once per eigenvalue over the whole lag array; each
-    lag's value is accumulated eigenvalue by eigenvalue, so a lag rounds the
-    same in an array call as in a call of its own.
-
-    The same pass sums |c_i u_i(h)|, which with the lag-0 terms
-    c_i u_i(0) = 2 c_i (-lambda_i)^{1-2H} gives the condition number kappa
-    (_expansion_kappa).  When kappa * _TERM_RTOL exceeds
-    _EXPANSION_MAX_ERROR at any lag, clustered eigenvalues are cancelling in
-    the weights and RepeatedEigenvaluesError is raised, so that
-    autocovariance takes the integral form.
+    Requires a trusted expansion (_expansion_weights): distinct
+    eigenvalues, and a condition number kappa, read from the lag-0 terms,
+    small enough that clustered eigenvalues do not cancel in the weights.
+    Otherwise RepeatedEigenvaluesError is raised before any lag is
+    evaluated; acf_route takes the integral form for such models.  The
+    conjugate-pair structure makes the complex sum real, and a residual
+    imaginary part above 1e-8 (|value| + sigma^2) is treated as a
+    branch-selection bug.  The eigen weights and the Gamma(2H+1) prefactor
+    are computed once per call, and u_kernel runs once per eigenvalue over
+    the whole lag array; each lag's value is accumulated eigenvalue by
+    eigenvalue, so a lag rounds the same in an array call as in a call of
+    its own.
     """
     h = _lag_array(h)
     parts = _stationary_parts(model)
-    if not parts.distinct:
+    coeffs, kappa = _expansion_weights(model, parts)
+    if coeffs is None:
         raise RepeatedEigenvaluesError(
-            "eigenvalues too close for the closed form; use acf_integral_form"
+            f"eigen-expansion condition number {kappa:.3g}: eigenvalues too close "
+            "or clustered for the closed form; use acf_integral_form"
         )
     H = model.H
     hs = h.reshape(-1)
-    coeffs = _eigen_coeffs(model, parts.lambdas)
     total = np.zeros(len(hs), dtype=complex)
-    size = np.zeros(len(hs))
     for c, lam in zip(coeffs, parts.lambdas):
-        term = c * u_kernel(H, lam, hs)
-        total += term
-        size += np.abs(term)
-    kappa = _expansion_kappa(size, 2.0 * coeffs * (-parts.lambdas) ** (1.0 - 2.0 * H))
-    loose = ~(kappa * _TERM_RTOL <= _EXPANSION_MAX_ERROR)
-    if np.any(loose):
-        i = int(np.argmax(loose))
-        raise RepeatedEigenvaluesError(
-            f"eigen-expansion condition number {kappa[i]:.3g} at h={hs[i]}: "
-            "eigenvalues too clustered for the closed form; use acf_integral_form"
-        )
+        total += c * u_kernel(H, lam, hs)
     total *= 0.5 * model.sigma**2 * gamma_fn(2 * H + 1)
     bad = np.abs(total.imag) > 1e-8 * (np.abs(total) + model.sigma**2)
     if np.any(bad):
@@ -501,14 +509,12 @@ def _matmul_terms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def acf_carma(model: CarfimaModel, h):
     """Autocovariance at lag(s) h for the H = 1/2 (CARMA) case.
 
-    Both the matrix form beta' e^{Ah} V* beta and, when the eigenvalues are
-    distinct, the eigen-sum are computed; they must agree to 1e-9 relative
-    at every lag where the eigen-sum can hold it.  It cannot where clustered
-    eigenvalues make its condition number (_expansion_kappa) exceed the
-    bound acf_closed_form refuses at; those lags are not compared.  The
-    matrix form is returned.  Its exponentials come from _expm_lags, one
-    batched Pade kernel over all the lags of the call, not one scipy expm
-    per lag.
+    The matrix form beta' e^{Ah} V* beta is returned.  When the model's
+    eigen-expansion is trusted (_expansion_weights, the test
+    acf_closed_form applies), the eigen-sum is computed too, and the two
+    must agree to 1e-9 relative at every lag; otherwise no lag is compared.
+    Its exponentials come from _expm_lags, one batched Pade kernel over all
+    the lags of the call, not one scipy expm per lag.
     """
     h = _lag_array(h)
     if model.H != 0.5:
@@ -522,14 +528,12 @@ def acf_carma(model: CarfimaModel, h):
     # the other lags of the call
     row = _matmul_terms(b[None, None], _expm_lags(parts.A, hs))
     mat_form = np.sum(_matmul_terms(row, V[None]) * b, axis=-1)[:, 0]
-    if parts.distinct:
-        coeffs = _eigen_coeffs(model, parts.lambdas)
+    coeffs, _ = _expansion_weights(model, parts)
+    if coeffs is not None:
         terms = coeffs * np.exp(parts.lambdas * hs[:, None])
         eig_form = model.sigma**2 * np.sum(terms, axis=1)
         scale = np.maximum(np.abs(mat_form), np.abs(eig_form))
         bad = np.abs(mat_form - eig_form) > 1e-9 * scale.clip(1e-12 * float(b @ V @ b))
-        kappa = _expansion_kappa(np.sum(np.abs(terms), axis=1), coeffs)
-        bad &= kappa * _TERM_RTOL <= _EXPANSION_MAX_ERROR
         if np.any(bad):
             i = int(np.argmax(bad))
             raise CarfimaError(
@@ -573,46 +577,35 @@ def cov_y0_fbm(model: CarfimaModel, t: float) -> float:
     # (w + t)^{2H-1} - w^{2H-1} = w^{2H-1} expm1((2H-1) log(1 + t/w))
     bracket = np.expm1(c * (np.logaddexp(rule.log_w, math.log(t)) - rule.log_w))
     coarse, fine = _level_sums(rule.pw * psi * bracket)
-    if not abs(fine - coarse) <= 1e-6 * max(abs(fine), model.sigma):
-        raise QuadratureError(
-            f"quadrature error estimate {abs(fine - coarse):.3e} too large for value "
-            f"{fine:.6e} at t={t}")
+    _check_levels(coarse, fine, model.sigma, "t", t)
     return H * model.sigma * float(fine)
 
 
 def acf_route(model: CarfimaModel) -> str:
-    """The route method="auto" takes, from the model's own H and eigenvalues.
+    """The route method="auto" takes, decided from the model before any lag.
 
-    "carma_exact" at H = 1/2 exactly, "closed_form" for distinct
-    eigenvalues, and "quadrature" otherwise.  Where the closed form then
-    refuses its expansion as ill-conditioned (clustered eigenvalues),
-    autocovariance takes "quadrature" instead.
+    "carma_exact" at H = 1/2 exactly, "closed_form" when the eigen-expansion
+    is trusted (_expansion_weights: distinct eigenvalues and a small
+    condition number at lag 0), and "quadrature" otherwise.
     """
     if model.H == 0.5:
         return "carma_exact"
-    return "closed_form" if prepare(model).distinct else "quadrature"
+    trusted = _expansion_weights(model, prepare(model))[0] is not None
+    return "closed_form" if trusted else "quadrature"
 
 
 def autocovariance(model: CarfimaModel, lags, method: str = "auto") -> AcfTable:
     """Autocovariance table on a lag grid by the route method names.
 
-    method="auto" takes acf_route(model), and the integral form when the
-    closed form raises RepeatedEigenvaluesError; the table's method records
-    the route taken.
+    method="auto" takes acf_route(model); the table's method records the
+    route taken.
     """
     lags = np.atleast_1d(np.asarray(lags, dtype=float))
-    auto = method == "auto"
-    if auto:
+    if method == "auto":
         method = acf_route(model)
     routes = {"closed_form": acf_closed_form, "quadrature": acf_integral_form,
               "carma_exact": acf_carma}
     if method not in routes:
         raise DomainError(f"unknown acf method {method!r}")
-    try:
-        values = routes[method](model, lags)
-    except RepeatedEigenvaluesError:
-        if not auto:
-            raise
-        method = "quadrature"
-        values = acf_integral_form(model, lags)
+    values = routes[method](model, lags)
     return AcfTable(lags=lags, values=values, method=method, model_hash=model.model_hash())

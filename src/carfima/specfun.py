@@ -235,20 +235,21 @@ def _exp_q_product(a: float, w):
 def _kernel_expansion(a: float, z: np.ndarray, h: np.ndarray, pow_sum: complex) -> np.ndarray:
     """u for |z| > U_KERNEL_ASYM_SWITCH: (l^{1-a} + (-l)^{1-a}) e^z plus the
     odd-order terms of the Gamma(a, -z) and Gamma(a, z) tails, each element
-    truncated at its smallest term."""
-    coefs = [1.0]  # coefs[k] = (a-1)(a-2)...(a-k)
-    for k in range(1, _MAX_KERNEL_ORDER + 1):
-        coefs.append(coefs[-1] * (a - k))
+    truncated at its smallest term.  The term of order k, (a-1)(a-2)...(a-k)
+    / z^k, is the one of order k-2 times ((a-k+1)/z)((a-k)/z): no power of z
+    is formed, so no lag overflows."""
 
-    def step(n, z, zk, s, prev):
+    def step(n, z, term, s, prev):
         k = 2 * n - 1
-        zk = zk * z if k == 1 else zk * z * z
-        term = coefs[k] / zk
+        if k == 1:
+            term = term * ((a - 1.0) / z)
+        else:
+            term = term * (((a - k + 1) / z) * ((a - k) / z))
         mag = np.abs(term)
         grow = mag > prev
         s_new = s + term
         done = grow | (mag < 1e-18 * np.abs(s_new)) | (k == _MAX_KERNEL_ORDER)
-        return (z, zk, s_new, mag), done, np.where(grow, s, s_new)
+        return (z, term, s_new, mag), done, np.where(grow, s, s_new)
 
     ones = np.ones(len(z), dtype=complex)
     s = _per_element(step, (z, ones, np.zeros(len(z), dtype=complex),

@@ -126,6 +126,18 @@ class TestLagArrays:
         with pytest.raises(CarfimaError):
             acf_carma(m, lags)
 
+    def test_route_does_not_depend_on_the_other_lags(self):
+        # roots -0.1 +- 3i and -0.10036 +- 3i at H = 0.8: the ratio
+        # sum |c_i u_i(h)| / |gamma(0)| is 946.7 at lag 0 and 1035.8 at
+        # h = 0.155, on either side of the bound the closed form refuses at
+        m = CarfimaModel(p=4, q=0, alpha=(0.0, -81.18074605270071, -3.610463328000492,
+                                          -18.060214855731665, -0.4007157588466174),
+                         beta=(), H=0.8, sigma=1.0)
+        short = autocovariance(m, [0.0, 0.1])
+        long = autocovariance(m, [0.0, 0.1, 0.155])
+        assert short.method == long.method == "closed_form"
+        assert np.array_equal(short.values, long.values[:2])
+
     def test_autocovariance_resolves_route_at_call_time(self, monkeypatch):
         calls = []
         route = carfima.acf.acf_closed_form
@@ -296,6 +308,14 @@ class TestIntegralForm:
         with pytest.raises(QuadratureError):
             cov_y0_fbm(m, 1.0)
 
+    def test_error_messages_name_the_location(self, monkeypatch):
+        m = model_from_eigenvalues([-0.25 + 2j, -0.25 - 2j], H=0.7)
+        monkeypatch.setattr(carfima.acf, "_PANEL_RADIANS", 1e9)
+        with pytest.raises(QuadratureError, match=r"too large for value .* at h="):
+            acf_integral_form(m, np.array([0.0, 1.0, 5.0]))
+        with pytest.raises(QuadratureError, match=r"too large for value .* at t=1\.0$"):
+            cov_y0_fbm(m, 1.0)
+
     def test_too_many_panels_refused(self):
         # 1e4 oscillations before the decay: refused before any node is formed
         m = model_from_eigenvalues([-1e-4 + 1j, -1e-4 - 1j], H=0.7)
@@ -415,6 +435,20 @@ class TestClusteredRoots:
             mp = np.array(carma_acf_mpmath(m, lags))
             assert np.all(np.abs(table.values - mp) <= 1e-12 * np.maximum(np.abs(mp), mp[0]))
 
+    def test_route_decided_before_any_lag(self, monkeypatch):
+        calls = []
+        kernel = carfima.acf.u_kernel
+        monkeypatch.setattr(carfima.acf, "u_kernel",
+                            lambda *args: calls.append(args) or kernel(*args))
+        m = CarfimaModel(p=3, q=0, alpha=_CLUSTERED["triple_root"], beta=(), H=0.3, sigma=1.0)
+        lags = np.array([0.0, 0.5, 2.0])
+        assert autocovariance(m, lags).method == "quadrature"
+        with pytest.raises(RepeatedEigenvaluesError, match="condition number"):
+            acf_closed_form(m, lags)
+        assert calls == []
+        autocovariance(car1(0.3), lags)
+        assert len(calls) == 1
+
     def test_simulate_exact_variance(self):
         m = CarfimaModel(p=3, q=0, alpha=_CLUSTERED["triple_root"], beta=(), H=0.3, sigma=1.0)
         gamma0 = float(acf_integral_quad(m, 0.0))
@@ -438,6 +472,20 @@ class TestTailAsymptote:
     def test_half_rejected(self):
         with pytest.raises(DomainError):
             acf_tail_asymptote(car1(0.5), 10.0)
+
+    @pytest.mark.parametrize("m,top", [
+        (car1(0.7), 1e300), (model_from_eigenvalues([-0.5 + 1j, -0.5 - 1j], H=0.8), 1e300),
+        (car1(0.3), 1e200),  # h^{-1.4} underflows past about 1e220
+    ])
+    def test_far_lags_match_the_asymptote(self, m, top):
+        # the kernel's expansion once formed z^k, which overflows near |lambda h| = 1e299;
+        # the two forms round the exponent 2H - 2 apart, by about log(h) eps
+        hs = np.arange(1, 11) * (top / 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = acf_closed_form(m, hs)
+        ref = np.array([acf_tail_asymptote(m, h) for h in hs])
+        assert np.all(np.abs(got / ref - 1.0) <= 1e-13)
 
     def test_closed_form_converges_to_asymptote(self):
         m = car1(0.7)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from carfima import CarfimaModel, read_path_csv
+from carfima import CarfimaModel, acf_tail_asymptote, read_path_csv
 from carfima.cli import MAX_GRID_POINTS, build_parser, main
 from carfima.spectrum import DEFAULT_ALIAS_K
 
@@ -51,6 +51,20 @@ class TestAcfCommand:
                    "--lags", "0:2:1", "--method", "quadrature"])
         assert rc == 0
         assert "quadrature" in out.read_text()
+
+    def test_far_lags_take_the_closed_form(self, frac_file, tmp_path):
+        # the closed form's kernel once overflowed at these lags
+        out = tmp_path / "acf.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["acf", "--model", frac_file, "--out", str(out),
+                       "--lags", "0:1e300:1e299"])
+        assert rc == 0
+        rows = [r.split(",") for r in out.read_text().strip().splitlines()[1:]]
+        assert len(rows) == 11 and {r[2] for r in rows} == {"closed_form"}
+        for lag, gamma, _ in rows[1:]:
+            ref = acf_tail_asymptote(car1(0.7), float(lag))
+            assert float(gamma) == pytest.approx(ref, rel=1e-14)
 
     def test_missing_model_is_validation_error(self, tmp_path):
         rc = main(["acf", "--model", str(tmp_path / "nope.json"),
@@ -157,6 +171,19 @@ class TestSpectrumCommand:
         assert err.startswith("error: step_h must be finite and positive")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("h", ["1e300", "1e-300"])
+    def test_extreme_step_is_numerical_failure_without_warnings(self, frac_file, tmp_path,
+                                                                capsys, h):
+        # the alias sum over- and underflows here; numpy's warnings once
+        # reached stderr, and escaped main under warnings-as-errors
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["spectrum", "--model", frac_file, "--out", str(tmp_path / "s.csv"),
+                       "--aliased", f"--h={h}"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("numerical failure: ")
 
 
 class TestSimulateAndFit:
@@ -283,6 +310,67 @@ class TestErrorContract:
                 rc = main([command, "--model", str(model_file),
                            "--out", str(Path(tmp) / "out.csv"), *args])
         assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+
+_FIELDS = ("p", "q", "alpha", "beta", "H", "sigma")
+# values no field accepts: None, a non-numeric string, a nested list, an object
+_WRONG_TYPES = [None, "x", [["x"]], {"a": 1.0}]
+
+
+@st.composite
+def _bad_model_file(draw):
+    """The text of a model file broken in one drawn way, from a stable model with p <= 6."""
+    p = draw(st.integers(1, 6))
+    q = draw(st.integers(0, p - 1))
+    roots = [-draw(st.floats(0.1, 3.0)) for _ in range(p)]
+    beta = [draw(st.floats(-1.0, 1.0)) for _ in range(q - 1)] + [0.5] * (q > 0)
+    flaw = draw(st.sampled_from(["missing", "type", "nonfinite", "mismatch",
+                                 "nonstationary", "not_an_object"]))
+    if flaw == "nonstationary":
+        roots[draw(st.integers(0, p - 1))] = draw(st.floats(0.1, 3.0))
+    d = {"p": p, "q": q, "alpha": [0.0, *(-np.poly(roots)[:0:-1]).tolist()],
+         "beta": beta, "H": draw(st.floats(0.05, 0.95)), "sigma": 1.0}
+    if flaw == "missing":
+        del d[draw(st.sampled_from(_FIELDS))]
+    elif flaw == "type":
+        field = draw(st.sampled_from(_FIELDS))
+        d[field] = draw(st.sampled_from(_WRONG_TYPES + [float(p)] * (field in ("p", "q"))))
+    elif flaw == "nonfinite":
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        field = draw(st.sampled_from(["alpha", "H", "sigma"] + ["beta"] * (q > 0)))
+        if field in ("alpha", "beta"):
+            d[field][draw(st.integers(0, len(d[field]) - 1))] = bad
+        else:
+            d[field] = bad
+    elif flaw == "mismatch":
+        field = draw(st.sampled_from(_FIELDS[:4]))
+        if field in ("p", "q"):
+            d[field] += draw(st.sampled_from([-1, 1]))
+        elif d[field] and draw(st.booleans()):
+            d[field].pop()
+        else:
+            d[field].append(0.5)
+    elif flaw == "not_an_object":
+        return draw(st.sampled_from(["[]", "3", '"model"', "null", "{", json.dumps(d)[:-1]]))
+    return json.dumps(d)
+
+
+class TestModelFileContract:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(text=_bad_model_file(), command=st.sampled_from(
+        [["acf"], ["spectrum"], ["spectrum", "--aliased"]]))
+    def test_bad_model_file_exits_without_traceback(self, text, command):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            model_file = Path(tmp) / "model.json"
+            model_file.write_text(text)
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main([command[0], "--model", str(model_file),
+                           "--out", str(Path(tmp) / "out.csv"), *command[1:]])
+        assert rc in (1, 2)
         assert "Traceback" not in err.getvalue()
 
 
