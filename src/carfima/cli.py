@@ -18,7 +18,8 @@ from .acf import autocovariance, vstar
 from .errors import CarfimaError, DomainError
 from .estimate import fit
 from .model import CarfimaModel, prepare, stationary_mean
-from .simulate import MAX_GRID_POINTS, SamplePath, empirical_acf, exact_gaussian_paths
+from .fgn import MAX_GRID_POINTS
+from .simulate import SamplePath, empirical_acf, exact_gaussian_paths
 from .simulate import read_path_csv, simulate_exact, simulate_state_euler
 from .spectrum import DEFAULT_ALIAS_K, fourier_consistency_check, spectrum_table
 
@@ -51,11 +52,12 @@ def _parse_omega_grid(spec: str) -> np.ndarray:
 
 def _load_model(path) -> CarfimaModel:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return CarfimaModel.from_dict(json.load(fh))
     except FileNotFoundError as exc:
         raise DomainError(f"model file not found: {path}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    # ValueError covers bad JSON and bytes that are not UTF-8
+    except (ValueError, KeyError, TypeError) as exc:
         raise DomainError(f"malformed model JSON in {path}: {exc}") from exc
 
 

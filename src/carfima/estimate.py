@@ -5,10 +5,11 @@ model spectrum; the innovation scale enters multiplicatively, so sigma^2 is
 profiled out in closed form.  The fit is a quasi-Newton search (L-BFGS-B)
 on the profiled objective and its exact gradient, over the shape
 parameters: the log-coefficients of the real factors of alpha(z), so that
-every iterate is stationary, the MA coefficients, and H inside box bounds
-on one side of the excluded band around H = 1/2.  Multi-starts explore
-both sides.  Standard errors come from the Whittle Fisher information of
-the same per-ordinate gradients.
+every iterate is stationary, the MA coefficients, and H in one box that
+holds the whole family: antipersistence, short memory (H = 1/2, the CARMA
+member) and long memory.  The multi-start stops once two starts agree.
+Standard errors come from the Whittle Fisher information of the same
+per-ordinate gradients.
 """
 
 from __future__ import annotations
@@ -30,7 +31,14 @@ from .spectrum import (DEFAULT_ALIAS_K, DEFAULT_BRACKET_RTOL, _alpha_factors, _A
 
 H_MIN = 0.01
 H_MAX = 0.99
-H_GAP = 0.005  # half-width of the excluded band around H = 1/2
+# Two starts agree when their final objectives per ordinate differ by at
+# most this, and the multi-start then stops.  Runs that reach one minimum
+# end apart by what L-BFGS-B's stopping rules leave, which is below its
+# ftol (2.2e-9 relative): up to about 2e-10 on q = 0 fits at n = 4096, so
+# those stop after two starts.  A gap this size is 2e-6 in the summed
+# objective at n = 4096, a log-likelihood difference far below the one unit
+# per parameter by which sampling moves it: two such starts fit equally well.
+_AGREE_TOL = 1e-9
 # the fit keeps log a and log c within this of log(1/h), and log b within
 # twice it of log(1/h^2): a and c stay within a factor 1e8 of the sampling
 # rate and b within 1e16 of its square, which keeps every term of the alias
@@ -106,14 +114,6 @@ def periodogram(path: SamplePath) -> Periodogram:
     js = np.arange(1, m + 1)
     return Periodogram(omegas=2 * math.pi * js / n, values=full[1 : m + 1],
                        n=n, step_h=path.step_h)
-
-
-def _h_bounds(side: str) -> tuple[float, float]:
-    if side == "low":
-        return H_MIN, 0.5 - H_GAP
-    if side == "high":
-        return 0.5 + H_GAP, H_MAX
-    raise DomainError(f"unknown H side {side!r}")
 
 
 def _log_factors(roots) -> np.ndarray:
@@ -209,14 +209,17 @@ def fit(
     L-BFGS-B with the exact gradient over theta = (log-coefficients of the
     factors z^2 + a z + b and, for odd p, z + c of alpha(z); beta_1..beta_q;
     H), sigma^2 profiled out analytically at every step.  Every theta is a
-    stationary model.  H stays inside the box of its start's side, and
-    the log-coefficients within LOG_RATE_SPAN of the sampling rate's scale.
-    Multi-starts alternate between the two H sides (start 0 unperturbed,
-    the others perturbed from the seed); the best final objective wins,
-    ties broken by start index.  An init of other orders or a nonstationary
-    init raises DomainError.  An estimate whose alias-tail bracket exceeds
-    DEFAULT_BRACKET_RTOL of the fitted spectrum at any frequency raises
-    TailBoundTooLooseError: there the spectrum it was fitted on is clipped.
+    stationary model.  H stays in [H_MIN, H_MAX], and the log-coefficients
+    within LOG_RATE_SPAN of the sampling rate's scale.  Starts alternate H
+    between 0.3 and 0.7, or sit near init.H when an init is given (start 0
+    unperturbed, the others perturbed from the seed).  n_starts is a
+    maximum: the search stops after the first start whose final objective
+    agrees with an earlier start's (_AGREE_TOL per ordinate).  The best
+    final objective wins, ties broken by start index.  An init of other
+    orders or a nonstationary init raises DomainError.  An estimate whose
+    alias-tail bracket exceeds DEFAULT_BRACKET_RTOL of the fitted spectrum
+    at any frequency raises TailBoundTooLooseError: there the spectrum it
+    was fitted on is clipped.
     """
     if p < 1 or not 0 <= q < p:
         raise DomainError("need p >= 1 and 0 <= q < p")
@@ -242,34 +245,33 @@ def fit(
     if init is not None:
         base_log = _log_factors(np.roots(alpha_poly_coeffs(init)))
         base_beta = np.array(init.beta) if q >= 1 else np.zeros(0)
-        base_h = init.H
     else:
         base_log = _log_factors(-np.linspace(0.4, 1.2, p) / path.step_h)
         base_beta = np.full(q, 0.1)
-        base_h = None
     # a and c scale as 1/h, b as 1/h^2
     scale = np.array([1.0, 2.0] * (p // 2) + [1.0] * (p % 2))
     centre = -scale * math.log(path.step_h)
-    log_bounds = list(zip(centre - scale * LOG_RATE_SPAN, centre + scale * LOG_RATE_SPAN))
+    bounds = (list(zip(centre - scale * LOG_RATE_SPAN, centre + scale * LOG_RATE_SPAN))
+              + [(None, None)] * q + [(H_MIN, H_MAX)])
     results = []
     total_iter = 0
     for start in range(n_starts):
-        side = ("low", "high")[start % 2] if base_h is None else (
-            "low" if base_h < 0.5 else "high")
-        lo, hi = _h_bounds(side)
-        h0 = base_h if base_h is not None else {"low": 0.3, "high": 0.7}[side]
+        h0 = init.H if init is not None else (0.3, 0.7)[start % 2]
         theta0 = np.concatenate([base_log, base_beta, [h0]])
         if start > 0:
             theta0 += np.concatenate([0.3 * rng.standard_normal(p),
                                       0.1 * rng.standard_normal(q),
                                       [0.05 * rng.standard_normal()]])
-        theta0[-1] = min(max(theta0[-1], lo + 1e-3), hi - 1e-3)
-        res = minimize(objective, theta0, method="L-BFGS-B", jac=True,
-                       bounds=log_bounds + [(None, None)] * q + [(lo, hi)],
+        theta0[-1] = min(max(theta0[-1], H_MIN + 1e-3), H_MAX - 1e-3)
+        res = minimize(objective, theta0, method="L-BFGS-B", jac=True, bounds=bounds,
                        options={"gtol": 1e-5 / m})
         total_iter += res.nit
-        results.append((res.fun, start, res))
-    best = min(results, key=lambda r: (r[0], r[1]))[2]
+        agrees = any(abs(res.fun - r.fun) <= _AGREE_TOL for r in results)
+        results.append(res)
+        if agrees:
+            break
+    # min keeps the first of equal objectives: ties go to the lower start index
+    best = min(results, key=lambda r: r.fun)
     quadratic, linear, beta, H_hat = _split(best.x, p, q)
     best_fun, _, g, dlog_g, width = profiled(best.x)
     _check_bracket(g, width, DEFAULT_BRACKET_RTOL)

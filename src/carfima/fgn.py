@@ -1,11 +1,14 @@
 """Fractional Gaussian noise: covariances and exact simulation.
 
 The Toeplitz sampler here (circulant embedding, with a Cholesky fallback)
-also draws the exact CARFIMA paths.
+also draws the exact CARFIMA paths.  This module holds the one rule for a
+sampling step and the one cap on grid and path sizes, which the
+simulators, sample paths, aliased spectra and the CLI share.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -13,6 +16,8 @@ from scipy.linalg import toeplitz
 
 from .errors import DomainError, FactorizationFailureError
 
+# most points a time, lag or frequency grid may have (80 MB of float64)
+MAX_GRID_POINTS = 10**7
 EMBEDDING_EIG_RTOL = 1e-10
 # relative diagonal jitters tried in turn when the Toeplitz Cholesky fails
 CHOLESKY_JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
@@ -63,6 +68,20 @@ def _check_h(H: float):
         raise DomainError(f"H must lie in (0, 1), got {H}")
 
 
+def _check_step(step_h: float | None) -> None:
+    """The one rule for a sampling step, of paths, simulators and aliased spectra."""
+    if step_h is None or not (math.isfinite(step_h) and step_h > 0):
+        raise DomainError(f"step_h must be finite and positive, got {step_h}")
+
+
+def _check_size(n: int, n_paths: int = 1) -> None:
+    """n_paths paths of n values each, at most MAX_GRID_POINTS values in all."""
+    if n < 1 or n_paths < 1:
+        raise DomainError(f"n and n_paths must be >= 1, got {n} and {n_paths}")
+    if n > MAX_GRID_POINTS // n_paths:  # n * n_paths > MAX_GRID_POINTS, without overflow
+        raise DomainError(f"bad path size {n} x {n_paths}: more than {MAX_GRID_POINTS} points")
+
+
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
@@ -73,13 +92,12 @@ def simulate_fgn(H: float, n: int, dt: float, seed) -> np.ndarray:
     """n fBm increments over steps of length dt, exact in distribution.
 
     Samples the Toeplitz covariance dt^{2H} gamma_F(k) through
-    `_toeplitz_rows`.  Deterministic for a given integer seed.
+    `_toeplitz_rows`.  Deterministic for a given integer seed.  dt follows
+    the step rule of `_check_step`, and n may not exceed MAX_GRID_POINTS.
     """
     _check_h(H)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if dt <= 0:
-        raise DomainError(f"dt must be positive, got {dt}")
+    _check_size(n)
+    _check_step(dt)
     cov = dt ** (2 * H) * fgn_autocovariance(H, np.arange(n))
     return _toeplitz_rows(cov, 1, _as_rng(seed))[0]
 

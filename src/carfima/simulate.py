@@ -23,11 +23,9 @@ from scipy.linalg import expm, toeplitz
 
 from .acf import _write_csv, autocovariance
 from .errors import DomainError
-from .fgn import _toeplitz_rows, simulate_fgn
+from .fgn import MAX_GRID_POINTS, _check_size, _check_step, _toeplitz_rows, simulate_fgn
 from .model import CarfimaModel, prepare, stationary_mean
 
-# most points a time, lag or frequency grid may have (80 MB of float64)
-MAX_GRID_POINTS = 10**7
 # sub-steps per block of the state scan: the Toeplitz product costs O(L)
 # per sub-step, the loop over blocks total/L iterations
 _SCAN_BLOCK = 128
@@ -72,12 +70,22 @@ class SamplePath:
 
 
 def read_path_csv(path) -> tuple[np.ndarray, float]:
-    """Values and inferred step size from a "t,y" CSV."""
+    """Values and inferred step size from a "t,y" CSV.
+
+    A file that is not UTF-8 text, lacks a t or y column, or has a short
+    row or a cell that is not a number raises DomainError.
+    """
     ts, ys = [], []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            ts.append(float(row["t"]))
-            ys.append(float(row["y"]))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            # a short row's missing cells read as "", which float refuses
+            for row in csv.DictReader(fh, restval=""):
+                ts.append(float(row["t"]))
+                ys.append(float(row["y"]))
+    except KeyError as exc:
+        raise DomainError(f"path CSV {path} has no column {exc}") from exc
+    except (ValueError, csv.Error) as exc:  # ValueError covers bytes that are not UTF-8
+        raise DomainError(f"malformed path CSV {path}: {exc}") from exc
     if len(ys) < 2:
         raise DomainError("path CSV needs at least two rows")
     steps = np.diff(ts)
@@ -97,9 +105,9 @@ def exact_gaussian_paths(
     one Cholesky factor shared by all paths otherwise.  The Gaussian block
     is drawn from a generator seeded by SeedSequence(seed), so results are
     reproducible and independent of how callers parallelize downstream.
+    n * n_paths may not exceed MAX_GRID_POINTS.
     """
-    if n < 1 or n_paths < 1:
-        raise DomainError("n and n_paths must be >= 1")
+    _check_size(n, n_paths)
     _check_step(step_h)
     table = autocovariance(model, np.arange(n) * step_h, method="auto")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -190,12 +198,6 @@ def _state_scan(P: np.ndarray, v: np.ndarray, c: np.ndarray, xi: np.ndarray) -> 
         starts[b] = s
         s = PL @ s + block_sum
     return (local + starts @ cP.T).ravel()[:total]
-
-
-def _check_step(step_h: float | None) -> None:
-    """The one rule for a sampling step, of paths, simulators and aliased spectra."""
-    if step_h is None or not (math.isfinite(step_h) and step_h > 0):
-        raise DomainError(f"step_h must be finite and positive, got {step_h}")
 
 
 def empirical_acf(paths: np.ndarray, max_lag: int, mean: float) -> np.ndarray:

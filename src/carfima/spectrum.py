@@ -23,13 +23,18 @@ from scipy.special import gamma as gamma_fn
 
 from .acf import _write_csv, acf_carma, acf_closed_form, acf_integral_form, acf_route
 from .errors import DomainError, QuadratureError, TailBoundTooLooseError
+from .fgn import MAX_GRID_POINTS, _check_step
 from .model import CarfimaModel, alpha_poly_coeffs, is_stationary, prepare
-from .simulate import MAX_GRID_POINTS, _check_step
 
 DEFAULT_ALIAS_K = 16
 DEFAULT_BRACKET_RTOL = 1e-2
 # largest relative deviation the cosine-transform check passes
 _FOURIER_RTOL = 1e-4
+# spectral_density evaluates |beta(iw)|^2 / |alpha(iw)|^2 in omega up to
+# this |omega| and in 1/omega above it: each quadratic factor of alpha is
+# of order omega^4 there, and their product overflows (to 0, or inf / inf)
+# from about |omega| = 1e77 at p = 2, and earlier for larger p
+_FAR_OMEGA = 1e8
 # alias-sum elements per pass: each temporary holds about 2^15 float64
 # (256 KB: 992 rows of 33 aliases at K = 16, 254 rows of 129 at K = 64),
 # small enough to stay in a per-core L2 cache
@@ -273,17 +278,53 @@ def spectral_density(model: CarfimaModel, omega):
 
     At omega = 0 the density is 0 for H < 1/2, the classical CARMA value
     for H = 1/2, and a genuine singularity for H > 1/2 reported as inf.
+    Above _FAR_OMEGA the ratio is evaluated in 1/|omega| (`_far_shape`), so
+    the density stays finite and underflows only where its value does.
     Accepts scalars or arrays.
     """
     parts = prepare(model)
     if not parts.stationary:
         raise DomainError("spectral density requires a stationary model")
-    w = np.asarray(omega, dtype=float)
+    shape = np.shape(omega)
+    w = np.abs(np.asarray(omega, dtype=float)).ravel()
+    quadratic, linear = _alpha_factors(parts.lambdas)
+    front = _front_constant(model.H, model.sigma)
+    far = w > _FAR_OMEGA
+    near = ~far
+    out = np.empty(len(w))
     # 0^{1-2H} gives the omega = 0 values: 0, the CARMA value, or inf
     with np.errstate(divide="ignore"):
-        out = (_front_constant(model.H, model.sigma) * np.abs(w) ** (1.0 - 2.0 * model.H)
-               * _ratio_sq(*_alpha_factors(parts.lambdas), model.beta)(w * w))
-    return float(out) if out.ndim == 0 else out
+        out[near] = (front * w[near] ** (1.0 - 2.0 * model.H)
+                     * _ratio_sq(quadratic, linear, model.beta)(w[near] ** 2))
+    out[far] = front * _far_shape(quadratic, linear, model.beta, model.H, w[far])
+    return float(out[0]) if shape == () else out.reshape(shape)
+
+
+def _far_shape(quadratic: np.ndarray, linear: np.ndarray, beta, H: float, w: np.ndarray):
+    """w^{1-2H} |beta(iw)|^2 / |alpha(iw)|^2 for w > 0, formed in v = 1/w.
+
+    With y = v^2, the factors of alpha give w^4 ((1 - b y)^2 + a^2 y) and
+    w^2 (1 + c^2 y), and |beta(iw)|^2 = w^{2q} |P(iv)|^2 with P(z) = z^q +
+    beta_1 z^{q-1} + ... + beta_q, so no intermediate grows with w.  The
+    2(p - q) factors v come last, each one making the value smaller: it
+    underflows only where the result does.
+    """
+    w = np.minimum(w, np.finfo(float).max)  # at infinity the limit, 0, up to underflow
+    v = 1.0 / w
+    y = v * v
+    # -2H is exact where 1 - 2H may round, by up to 1.1e-16, which a power
+    # of w = 1e300 would magnify 690 times
+    out = w * w ** (-2.0 * H)
+    if len(beta):
+        even, odd = _even_odd((1.0, *beta))
+        out *= _horner(even, y) ** 2 + y * _horner(odd, y) ** 2
+    for a, b in quadratic.tolist():
+        out /= (1.0 - b * y) ** 2 + a * a * y
+    for c in linear.tolist():
+        out /= 1.0 + c * c * y
+    for _ in range(2 * (2 * len(quadratic) + len(linear) - len(beta))):
+        out *= v
+    return out
 
 
 class _AliasSum:

@@ -77,6 +77,25 @@ class TestAcfCommand:
         rc = main(["acf", "--model", str(bad), "--out", str(tmp_path / "x.csv")])
         assert rc == 1
 
+    @pytest.mark.parametrize("flag", ["--model", "--init"])
+    def test_model_file_not_utf8_is_validation_error(self, tmp_path, capsys, flag):
+        # bytes that are not UTF-8 once escaped as a UnicodeDecodeError
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(car1(0.7).to_json().encode()[:-1] + b"\xff}")
+        if flag == "--model":
+            argv = ["acf", "--model", str(bad)]
+        else:
+            path_csv = tmp_path / "path.csv"
+            ys = np.random.default_rng(0).standard_normal(64).tolist()
+            path_csv.write_text("t,y\n" + "".join(f"{k + 1},{y!r}\n" for k, y in enumerate(ys)))
+            argv = ["fit", "--path", str(path_csv), "--init", str(bad), "--p", "1"]
+        out = tmp_path / "out"
+        rc = main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: malformed model JSON") and "utf-8" in err
+        assert not out.exists()
+
     def test_non_numeric_model_entry_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**car1(0.7).to_dict(), "alpha": [0.0, "x"]}))
@@ -111,6 +130,10 @@ class TestAcfCommand:
         ("acf", "--lags", "0:1e300:1e-300"),  # count overflows to inf
         ("acf", "--lags", "0:1e9:1e-3"),  # 1e12 lags
         ("spectrum", "--omegas", "0:1:100000000"),
+        # paths of n * n_paths points once escaped as a ValueError from numpy
+        ("simulate", "--n", str(10**20)),
+        ("verify", "--mc-n", str(10**20)),
+        ("verify", "--mc-paths", str(10**20)),
     ])
     def test_oversized_grid_is_validation_error(self, ou_file, tmp_path, capsys,
                                                 command, flag, spec):
@@ -371,6 +394,56 @@ class TestModelFileContract:
                 rc = main([command[0], "--model", str(model_file),
                            "--out", str(Path(tmp) / "out.csv"), *command[1:]])
         assert rc in (1, 2)
+        assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def _bad_path_file(draw):
+    """The bytes of a path CSV broken in one drawn way, from a regular path of 16 to 40 rows."""
+    n = draw(st.integers(16, 40))
+    h = draw(st.sampled_from([0.25, 1.0, 3.0]))
+    ys = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+    header = ["t", "y"]
+    rows = [[repr(h * (k + 1)), repr(float(y))] for k, y in enumerate(ys)]
+    flaw = draw(st.sampled_from(["column", "cell", "short", "encoding", "nonfinite",
+                                 "irregular", "few", "constant"]))
+    k, col = draw(st.integers(0, n - 1)), draw(st.integers(0, 1))
+    if flaw == "column":
+        header[col] = draw(st.sampled_from(["", "x", "T", ("y", "t")[col]]))
+    elif flaw == "cell":
+        rows[k][col] = draw(st.sampled_from(["", "x", "1..2", "0x10", "1e", "[1]", '"1,2"']))
+    elif flaw == "short":  # no cells at all would be a blank line, which CSV skips
+        rows[k] = rows[k][:1]
+    elif flaw == "nonfinite":
+        rows[k][col] = draw(st.sampled_from(["nan", "inf", "-inf", "1e999"]))
+    elif flaw == "irregular":
+        rows[k][0] = repr(h * (k + 1 + draw(st.sampled_from([-1.0, -0.5, 0.5, 1e-3]))))
+    elif flaw == "few":
+        rows = rows[:draw(st.integers(0, 15))]
+    elif flaw == "constant":
+        rows = [[t, "2.5"] for t, _ in rows]
+    data = "".join(",".join(r) + "\n" for r in [header, *rows]).encode()
+    if flaw == "encoding":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xfe\xff", b"\x80", b"\xc3("])) \
+            + data[at:]
+    return data
+
+
+class TestPathFileContract:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(data=_bad_path_file())
+    def test_bad_path_file_exits_without_traceback(self, data):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path_file = Path(tmp) / "path.csv"
+            path_file.write_bytes(data)
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main(["fit", "--path", str(path_file), "--out", str(Path(tmp) / "fit.json"),
+                           "--p", "1", "--starts", "2"])
+        assert rc == 1
         assert "Traceback" not in err.getvalue()
 
 

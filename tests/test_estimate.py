@@ -21,7 +21,9 @@ from carfima import (
     simulate_exact,
     spectral_density,
 )
-from carfima.estimate import _alpha_coeffs, _alpha_jacobian, _log_factors, _profiled, _split
+import carfima.estimate as est_mod
+from carfima.estimate import (H_MAX, H_MIN, _AGREE_TOL, _alpha_coeffs, _alpha_jacobian,
+                              _log_factors, _profiled, _split)
 from carfima.model import alpha_poly_coeffs
 from carfima.spectrum import DEFAULT_ALIAS_K, _AliasSum
 
@@ -257,6 +259,73 @@ class TestFit:
         assert len(r.stderr) == 2
         oracle = _whittle_sd_h(r.model_hat, 4096, 1.0)
         assert r.stderr[-1] == pytest.approx(oracle, rel=0.02)
+
+    @pytest.mark.parametrize("a1", [-1.0, -0.3])
+    def test_short_memory_reachable(self, a1):
+        # H = 1/2 is the CARMA member of the family: with one H box the fit
+        # may land anywhere near it, and no estimate sits on a bound.  Two
+        # boxes around an excluded band (0.495, 0.505) put 2 of these 20
+        # estimates on a band edge at each a1
+        paths = exact_gaussian_paths(car1(0.5, a1=a1), 4096, 1.0, 20, seed=77)
+        hs = np.array([fit(_path(paths[r]), 1, 0, seed=r, n_starts=4).model_hat.H
+                       for r in range(20)])
+        assert np.any(np.abs(hs - 0.5) < 0.005)
+        for bound in (H_MIN, 0.495, 0.505, H_MAX):
+            assert np.all(np.abs(hs - bound) > 1e-6)
+        assert abs(hs.mean() - 0.5) < 0.03
+
+
+@pytest.fixture
+def start_log(monkeypatch):
+    """(final objective per ordinate, H) of every L-BFGS-B run fit makes."""
+    log = []
+    run = est_mod.minimize
+
+    def logged(*args, **kwargs):
+        res = run(*args, **kwargs)
+        log.append((float(res.fun), float(res.x[-1])))
+        return res
+
+    monkeypatch.setattr(est_mod, "minimize", logged)
+    return log
+
+
+class TestMultiStart:
+    def test_stops_once_two_starts_agree(self, start_log, monkeypatch):
+        path = _path(exact_gaussian_paths(car1(0.7), 2048, 1.0, 1, seed=42)[0])
+        r = fit(path, 1, 0, seed=1, n_starts=4)
+        assert len(start_log) == 2
+        assert abs(start_log[1][0] - start_log[0][0]) <= _AGREE_TOL
+        # n_starts is a maximum: the same two starts, the same bits
+        assert fit(path, 1, 0, seed=1, n_starts=2).to_json() == r.to_json()
+        # the full search finds the same estimate
+        start_log.clear()
+        monkeypatch.setattr(est_mod, "_AGREE_TOL", -math.inf)
+        full = fit(path, 1, 0, seed=1, n_starts=4)
+        assert len(start_log) == 4
+        assert abs(full.model_hat.H - r.model_hat.H) < 1e-5
+        m = len(periodogram(path).values)
+        assert abs(full.objective_value - r.objective_value) <= m * _AGREE_TOL
+
+    def test_third_start_runs_when_the_first_two_disagree(self, start_log):
+        # on this path the first two starts end in different local minima
+        # (H = 0.440 and 0.322); the third reaches the first one again
+        m = CarfimaModel(p=2, q=1, alpha=(0.0, -1.0, -1.5), beta=(0.5,), H=0.3, sigma=1.0)
+        path = _path(exact_gaussian_paths(m, 1024, 1.0, 1, seed=1)[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            r = fit(path, 2, 1, seed=0, n_starts=4)
+            assert len(start_log) == 3
+            (f0, h0), (f1, h1), (f2, _) = start_log
+            assert abs(f1 - f0) > 100 * _AGREE_TOL and abs(h1 - h0) > 0.05
+            assert abs(f2 - f0) <= _AGREE_TOL
+            # the best of the three wins
+            m = len(periodogram(path).values)
+            assert r.objective_value == pytest.approx(m * min(start_log)[0], rel=1e-12)
+            # and n_starts stays a maximum when no two starts agree
+            start_log.clear()
+            fit(path, 2, 1, seed=0, n_starts=2)
+            assert len(start_log) == 2
 
 
 def _draw_theta(p, data, high, seed):

@@ -12,7 +12,7 @@ from carfima import (
     fgn_autocovariance,
     simulate_fgn,
 )
-from carfima.fgn import _circulant_rows, _cholesky_rows
+from carfima.fgn import MAX_GRID_POINTS, _circulant_rows, _cholesky_rows
 
 from conftest import car1
 from oracles import StepFunction, integral_cov_direct, integral_cov_kernel
@@ -152,6 +152,13 @@ class TestSimulateFgn:
             simulate_fgn(0.5, 10, -1.0, 0)
         with pytest.raises(DomainError):
             simulate_fgn(1.5, 10, 1.0, 0)
+        # a NaN or infinite step once gave a NaN or infinite path
+        for dt in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="step_h must be finite and positive"):
+                simulate_fgn(0.7, 10, dt, 0)
+        # refused before numpy is asked for 10^20 values
+        with pytest.raises(DomainError, match=f"more than {MAX_GRID_POINTS} points"):
+            simulate_fgn(0.7, 10**20, 1.0, 0)
 
 
 class TestStepFunction:

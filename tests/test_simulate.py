@@ -22,8 +22,9 @@ from carfima import (
     spectrum_table,
     stationary_mean,
 )
+import carfima.fgn as fgn_mod
 import carfima.simulate as sim_mod
-from carfima.fgn import _circulant_rows
+from carfima.fgn import _circulant_rows, simulate_fgn
 
 from conftest import car1
 from oracles import empirical_acf_loop, state_euler_loop
@@ -235,15 +236,29 @@ class TestStateEuler:
     lambda h: SamplePath(values=np.zeros(4), step_h=h, model_hash="", seed=0,
                          method="exact_gaussian"),
     lambda h: spectrum_table(car1(0.7), [0.5], kind="aliased", step_h=h),
-], ids=["state_euler", "exact", "exact_paths", "sample_path", "aliased_table"])
+    lambda h: simulate_fgn(0.7, 64, h, 0),
+], ids=["state_euler", "exact", "exact_paths", "sample_path", "aliased_table", "fgn"])
 def test_bad_step_rejected_before_any_work(monkeypatch, simulate, step_h):
     def no_work(*args, **kwargs):
         raise AssertionError("work began before step_h was checked")
 
     for name in ("prepare", "autocovariance", "simulate_fgn"):
         monkeypatch.setattr(sim_mod, name, no_work)
+    monkeypatch.setattr(fgn_mod, "fgn_autocovariance", no_work)
     with pytest.raises(DomainError, match="step_h must be finite and positive"):
         simulate(step_h)
+
+
+@pytest.mark.parametrize("n, n_paths", [(10**20, 1), (256, 10**20), (4097, 2441)])
+def test_oversized_paths_rejected_before_any_work(monkeypatch, n, n_paths):
+    # n * n_paths above MAX_GRID_POINTS once reached np.arange or the normal
+    # draw and escaped as "ValueError: Maximum allowed size exceeded"
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the path size was checked")
+
+    monkeypatch.setattr(sim_mod, "autocovariance", no_work)
+    with pytest.raises(DomainError, match=f"more than {sim_mod.MAX_GRID_POINTS} points"):
+        exact_gaussian_paths(car1(0.7), n, 1.0, n_paths, seed=0)
 
 
 class TestPathIO:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -66,6 +67,37 @@ class TestSpectralDensity:
     def test_nonstationary_rejected(self):
         with pytest.raises(DomainError):
             spectral_density(car1(0.5, a1=0.5), 1.0)
+
+    @pytest.mark.parametrize("m", [
+        CarfimaModel(p=2, q=1, alpha=(0.0, -1.0, -1.5), beta=(0.5,), H=0.3, sigma=1.0),
+        CarfimaModel(p=3, q=2, alpha=(0.0, -1.25, -2.25, -2.0), beta=(0.3, -0.2), H=0.8,
+                     sigma=2.0),
+        car1(0.1),
+    ], ids=["carfima_2_1", "carfima_3_2", "car1"])
+    def test_huge_frequencies_match_mpmath(self, m):
+        # on CARFIMA(2, 0.3, 1) the density once read 0.0 at 1e150, where it is
+        # 2.9e-242, and NaN above about 1.3e154
+        omegas = [1e100, 1e150, 1e155, 1e300, -1e150, 0.99e8, 1.01e8]
+        with mpmath.workdps(40):
+            refs = [float(_density_mp(m, w)) for w in omegas]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spectral_density(m, omegas)
+            assert [spectral_density(m, w) for w in omegas] == got.tolist()
+        # below the normal range only the absolute error counts
+        assert got == pytest.approx(refs, rel=1e-14, abs=1e-320)
+        assert spectral_density(m, math.inf) == 0.0
+
+
+def _density_mp(m, omega):
+    """f_Y(omega) from the model's polynomials in mpmath, at the working precision."""
+    w = mpmath.mpf(omega)
+    z = 1j * w
+    alpha = z**m.p - sum(mpmath.mpf(a) * z ** (k - 1) for k, a in enumerate(m.alpha) if k)
+    beta = 1 + sum(mpmath.mpf(b) * z ** (k + 1) for k, b in enumerate(m.beta))
+    H = mpmath.mpf(m.H)
+    front = mpmath.mpf(m.sigma) ** 2 * mpmath.gamma(2 * H + 1) * mpmath.sin(mpmath.pi * H)
+    return front / (2 * mpmath.pi) * abs(w) ** (1 - 2 * H) * abs(beta) ** 2 / abs(alpha) ** 2
 
 
 def _aliased(m, omega, step_h, K=DEFAULT_ALIAS_K):
