@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -39,6 +39,12 @@ H_MAX = 0.99
 # objective at n = 4096, a log-likelihood difference far below the one unit
 # per parameter by which sampling moves it: two such starts fit equally well.
 _AGREE_TOL = 1e-9
+# fit rescales a path by 2^-s, s a multiple of this, so that its largest
+# |y| lies within 2^+-150 of 1.  There no periodogram square of n <= 1e7
+# values over- or underflows, and a path already in that band is fitted as
+# given.  Scaling by a power of two is exact, so paths 2^(300 j) apart in
+# scale fit to the same shape, with sigma and the objective mapped back.
+_SCALE_STEP = 300
 # the fit keeps log a and log c within this of log(1/h), and log b within
 # twice it of log(1/h^2): a and c stay within a factor 1e8 of the sampling
 # rate and b within 1e16 of its square, which keeps every term of the alias
@@ -215,7 +221,9 @@ def fit(
     unperturbed, the others perturbed from the seed).  n_starts is a
     maximum: the search stops after the first start whose final objective
     agrees with an earlier start's (_AGREE_TOL per ordinate).  The best
-    final objective wins, ties broken by start index.  An init of other
+    final objective wins, ties broken by start index.  A path far from
+    unit scale is fitted rescaled by an exact power of two (_SCALE_STEP),
+    with sigma and the objective mapped back.  An init of other
     orders or a nonstationary init raises DomainError.  An estimate whose
     alias-tail bracket exceeds DEFAULT_BRACKET_RTOL of the fitted spectrum
     at any frequency raises TailBoundTooLooseError: there the spectrum it
@@ -227,6 +235,11 @@ def fit(
         raise DomainError("n_starts must be >= 1")
     if init is not None and (init.p, init.q) != (p, q):
         raise DomainError(f"init has orders ({init.p}, {init.q}), the fit ({p}, {q})")
+    # the Whittle fit is scale-equivariant: sigma scales with the path
+    exponent = math.frexp(float(np.max(np.abs(path.values))))[1]
+    shift = _SCALE_STEP * ((exponent + _SCALE_STEP // 2) // _SCALE_STEP)
+    if shift:
+        path = replace(path, values=np.ldexp(path.values, -shift))
     pg = periodogram(path)
     if not np.any(pg.values):
         raise DomainError("cannot fit a constant path: its periodogram is zero")
@@ -277,7 +290,7 @@ def fit(
     _check_bracket(g, width, DEFAULT_BRACKET_RTOL)
     model_hat = CarfimaModel(p=p, q=q, alpha=(0.0, *_alpha_coeffs(quadratic, linear)),
                              beta=beta, H=H_hat,
-                             sigma=math.sqrt(float(np.mean(pg.values / g))))
+                             sigma=math.ldexp(math.sqrt(float(np.mean(pg.values / g))), shift))
     parts = prepare(model_hat)
     if q >= 1 and np.any(np.roots(beta_poly_coeffs(model_hat)).real >= 0):
         warnings.warn(
@@ -287,7 +300,8 @@ def fit(
         )
     return FitResult(
         model_hat=model_hat,
-        objective_value=float(best_fun),
+        # Q = m log s2 + ..., and s2 scales by 2^(2 shift)
+        objective_value=float(best_fun) + 2 * m * shift * math.log(2.0),
         converged=bool(best.success),
         iterations=int(total_iter),
         stationarity_ok=bool(parts.stationary),

@@ -111,7 +111,9 @@ def exact_gaussian_paths(
     _check_step(step_h)
     table = autocovariance(model, np.arange(n) * step_h, method="auto")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return stationary_mean(model) + _toeplitz_rows(table.values, n_paths, rng)
+    paths = _toeplitz_rows(table.values, n_paths, rng)
+    paths += stationary_mean(model)
+    return paths
 
 
 def simulate_exact(model: CarfimaModel, n: int, step_h: float, seed: int) -> SamplePath:

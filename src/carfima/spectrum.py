@@ -23,7 +23,7 @@ from scipy.special import gamma as gamma_fn
 
 from .acf import _write_csv, acf_carma, acf_closed_form, acf_integral_form, acf_route
 from .errors import DomainError, QuadratureError, TailBoundTooLooseError
-from .fgn import MAX_GRID_POINTS, _check_step
+from .fgn import _BLOCK_ELEMENTS, MAX_GRID_POINTS, _check_step
 from .model import CarfimaModel, alpha_poly_coeffs, is_stationary, prepare
 
 DEFAULT_ALIAS_K = 16
@@ -35,10 +35,6 @@ _FOURIER_RTOL = 1e-4
 # of order omega^4 there, and their product overflows (to 0, or inf / inf)
 # from about |omega| = 1e77 at p = 2, and earlier for larger p
 _FAR_OMEGA = 1e8
-# alias-sum elements per pass: each temporary holds about 2^15 float64
-# (256 KB: 992 rows of 33 aliases at K = 16, 254 rows of 129 at K = 64),
-# small enough to stay in a per-core L2 cache
-_BLOCK_ELEMENTS = 2**15
 # power laws w^{-s}, w^{-s-2}, ... of f_Y summed exactly in the alias tail
 _TAIL_LAWS = 4
 # 2 zeta(5) / (2 pi)^5 bounds |B_5(t - floor t)| / 5!, the periodic

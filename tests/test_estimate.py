@@ -241,6 +241,26 @@ class TestFit:
         with pytest.raises(DomainError, match="constant"):
             fit(_path(np.ones(64)), 1, 0)
 
+    def test_far_from_unit_scale(self):
+        # x 1e300 overflowed the periodogram's squares into a "must be
+        # finite" error, and x 1e-300 underflowed them into "constant path"
+        y = np.random.default_rng(0).standard_normal(256)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unit = fit(_path(y), 1, 0, seed=0, n_starts=2)
+            for k in (900, -900):
+                r = fit(_path(np.ldexp(y, k)), 1, 0, seed=0, n_starts=2)
+                assert (r.model_hat.H, r.model_hat.alpha) == (unit.model_hat.H,
+                                                             unit.model_hat.alpha)
+                assert r.model_hat.sigma == math.ldexp(unit.model_hat.sigma, k)
+                assert r.objective_value == pytest.approx(
+                    unit.objective_value + 2 * 127 * k * math.log(2.0), rel=1e-12)
+            for scale in (1e300, 1e-300):
+                r = fit(_path(y * scale), 1, 0, seed=0, n_starts=2)
+                assert r.model_hat.H == pytest.approx(unit.model_hat.H, rel=1e-3)
+                assert r.model_hat.sigma / scale == pytest.approx(unit.model_hat.sigma,
+                                                                  rel=1e-3)
+
     def test_carfima_2_1_recovery(self):
         m = CarfimaModel(p=2, q=1, alpha=(0.0, -1.0, -1.5), beta=(0.5,), H=0.7, sigma=1.0)
         path = _path(exact_gaussian_paths(m, 4096, 1.0, 1, seed=31)[0])

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -111,6 +112,39 @@ class TestExactSimulator:
         rng = np.random.default_rng(np.random.SeedSequence(3))
         expect = 2.0 + _circulant_rows(eig, rng.standard_normal((5, 2 * (n - 1))))
         assert np.array_equal(exact_gaussian_paths(m, n, 0.5, 5, seed=3), expect)
+
+    @pytest.mark.parametrize("n, n_paths", [
+        (4096, 50),  # 4 rows a block: 13 blocks, the last of 2 rows
+        (4096, 1),
+        (20000, 3),  # one row of 39998 normals is wider than a block
+    ])
+    def test_blocked_rows_equal_one_shot_map(self, n, n_paths):
+        # the blocks draw, map and write the same bits as one draw mapped at once
+        m = car1(0.7, a0=2.0)
+        g = autocovariance(m, np.arange(n) * 0.5).values
+        eig = np.fft.rfft(np.concatenate([g, g[-2:0:-1]])).real
+        rng = np.random.default_rng(np.random.SeedSequence(4))
+        expect = 2.0 + _circulant_rows(eig, rng.standard_normal((n_paths, 2 * (n - 1))))
+        assert np.array_equal(exact_gaussian_paths(m, n, 0.5, n_paths, seed=4), expect)
+
+    def test_blocked_fgn_equals_one_shot_map(self):
+        H, n, dt = 0.3, 20000, 0.25
+        cov = dt ** (2 * H) * fgn_mod.fgn_autocovariance(H, np.arange(n))
+        eig = np.fft.rfft(np.concatenate([cov, cov[-2:0:-1]])).real
+        z = np.random.default_rng(6).standard_normal((1, 2 * (n - 1)))
+        assert np.array_equal(simulate_fgn(H, n, dt, 6), _circulant_rows(eig, z)[0])
+
+    def test_peak_memory_near_the_output(self):
+        # one (n_paths, 2(n-1)) normal block and its complex spectrum once
+        # peaked at 8.3 times the output
+        exact_gaussian_paths(car1(0.7), 64, 1.0, 2, seed=0)  # warm the imports
+        tracemalloc.start()
+        try:
+            out = exact_gaussian_paths(car1(0.7), 4096, 1.0, 50, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * out.nbytes
 
     @pytest.mark.parametrize(
         "model, n, step_h, n_paths, warns",
