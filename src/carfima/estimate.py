@@ -39,11 +39,12 @@ H_MAX = 0.99
 # objective at n = 4096, a log-likelihood difference far below the one unit
 # per parameter by which sampling moves it: two such starts fit equally well.
 _AGREE_TOL = 1e-9
-# fit rescales a path by 2^-s, s a multiple of this, so that its largest
-# |y| lies within 2^+-150 of 1.  There no periodogram square of n <= 1e7
-# values over- or underflows, and a path already in that band is fitted as
-# given.  Scaling by a power of two is exact, so paths 2^(300 j) apart in
-# scale fit to the same shape, with sigma and the objective mapped back.
+# periodogram and fit rescale a path by 2^-s (_scale_shift), s a multiple
+# of this, so that its largest |y| lies within 2^+-150 of 1.  There no
+# periodogram square of n <= 1e7 values over- or underflows, and a path
+# already in that band is transformed as given.  Scaling by a power of two
+# is exact, so paths 2^(300 j) apart in scale give periodograms 2^(600 j)
+# apart and fit to the same shape, with sigma and the objective mapped back.
 _SCALE_STEP = 300
 # the fit keeps log a and log c within this of log(1/h), and log b within
 # twice it of log(1/h^2): a and c stay within a factor 1e8 of the sampling
@@ -103,12 +104,18 @@ def periodogram(path: SamplePath) -> Periodogram:
     """I(w_j) = |sum (y_k - ybar) e^{-i w_j k}|^2 / (2 pi n), j = 1..(n-1)//2.
 
     The full-grid sum is checked against the sample variance (Parseval)
-    at construction.
+    at construction.  A path far from unit scale is transformed rescaled
+    by 2^-s (_scale_shift) and its values mapped back by 2^(2s), exactly;
+    where some value would then leave the normal float64 range, DomainError
+    is raised (fit rescales such paths itself).
     """
     y = path.values
     n = len(y)
     if n < 16:
         raise DomainError(f"periodogram needs n >= 16, got {n}")
+    shift = _scale_shift(y)
+    if shift:
+        y = np.ldexp(y, -shift)
     x = y - y.mean()
     coefs = np.fft.fft(x)
     full = np.abs(coefs) ** 2 / (2 * math.pi * n)
@@ -118,8 +125,23 @@ def periodogram(path: SamplePath) -> Periodogram:
         raise DomainError("periodogram failed the Parseval identity check")
     m = (n - 1) // 2
     js = np.arange(1, m + 1)
-    return Periodogram(omegas=2 * math.pi * js / n, values=full[1 : m + 1],
-                       n=n, step_h=path.step_h)
+    values = full[1 : m + 1]
+    if shift:
+        # np.frexp gives a normal float64 an exponent in [minexp + 1, maxexp]
+        exponents = np.frexp(values[values > 0])[1] + 2 * shift
+        low, high = np.finfo(float).minexp + 1, np.finfo(float).maxexp
+        if exponents.size and not low <= exponents.min() <= exponents.max() <= high:
+            raise DomainError(
+                f"periodogram values of a path of magnitude about 2^{shift} "
+                "over- or underflow float64")
+        values = np.ldexp(values, 2 * shift)
+    return Periodogram(omegas=2 * math.pi * js / n, values=values, n=n, step_h=path.step_h)
+
+
+def _scale_shift(values: np.ndarray) -> int:
+    """s, a multiple of _SCALE_STEP, with max |values| 2^-s within 2^+-150."""
+    exponent = math.frexp(float(np.max(np.abs(values))))[1]
+    return _SCALE_STEP * ((exponent + _SCALE_STEP // 2) // _SCALE_STEP)
 
 
 def _log_factors(roots) -> np.ndarray:
@@ -236,8 +258,7 @@ def fit(
     if init is not None and (init.p, init.q) != (p, q):
         raise DomainError(f"init has orders ({init.p}, {init.q}), the fit ({p}, {q})")
     # the Whittle fit is scale-equivariant: sigma scales with the path
-    exponent = math.frexp(float(np.max(np.abs(path.values))))[1]
-    shift = _SCALE_STEP * ((exponent + _SCALE_STEP // 2) // _SCALE_STEP)
+    shift = _scale_shift(path.values)
     if shift:
         path = replace(path, values=np.ldexp(path.values, -shift))
     pg = periodogram(path)

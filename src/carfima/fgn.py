@@ -1,16 +1,21 @@
 """Fractional Gaussian noise: covariances and exact simulation.
 
 The Toeplitz sampler here (circulant embedding, with a Cholesky fallback)
-also draws the exact CARFIMA paths.  This module holds the one rule for a
-sampling step and the one cap on grid and path sizes, which the
-simulators, sample paths, aliased spectra and the CLI share, and the one
-block size of the blocked loops, the sampler's and the alias sum's.
+also draws the exact CARFIMA paths.  Its covariance column and circulant
+spectrum depend on the model, n and step alone, so a bounded cache
+(`_embedding`) builds them once for draws that repeat those.  This module
+holds the one rule for a sampling step and the one cap on grid and path
+sizes, which the simulators, sample paths, aliased spectra and the CLI
+share, and the one block size of the blocked loops, the sampler's and the
+alias sum's.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -27,6 +32,16 @@ _BLOCK_ELEMENTS = 2**15
 EMBEDDING_EIG_RTOL = 1e-10
 # relative diagonal jitters tried in turn when the Toeplitz Cholesky fails
 CHOLESKY_JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
+# bytes of covariance columns and circulant spectra `_embedding` keeps
+# between calls, each entry charged its two arrays plus _ENTRY_OVERHEAD
+# (array headers, key and dict slot): 127 entries at n = 8192.  An entry
+# larger than this is used but not kept.
+_CACHE_BYTES = 16 * 2**20
+_ENTRY_OVERHEAD = 1024
+# key -> (cov, eig, charged bytes), the least recently used first
+_cache: OrderedDict = OrderedDict()
+_cache_bytes = 0
+_cache_lock = threading.Lock()
 # binomial-series terms of the fGn covariance for |k| >= 2; at k = 2 the
 # 30th is below 1e-18 of the first
 _FGN_SERIES_TERMS = 30
@@ -104,17 +119,61 @@ def simulate_fgn(H: float, n: int, dt: float, seed) -> np.ndarray:
     _check_h(H)
     _check_size(n)
     _check_step(dt)
-    cov = dt ** (2 * H) * fgn_autocovariance(H, np.arange(n))
-    return _toeplitz_rows(cov, 1, _as_rng(seed))[0]
+    embedding = _embedding(("fgn", H, n, dt),
+                           lambda: dt ** (2 * H) * fgn_autocovariance(H, np.arange(n)))
+    return _toeplitz_rows(embedding, 1, _as_rng(seed))[0]
 
 
-def _toeplitz_rows(cov: np.ndarray, n_paths: int, rng: np.random.Generator) -> np.ndarray:
-    """(n_paths, n) rows with covariance toeplitz(cov), cov = gamma(0..n-1).
+def _embedding(key, covariance) -> tuple[np.ndarray, np.ndarray]:
+    """(cov, eig) for a sampler key, built by covariance() on a miss.
 
-    Circulant embedding (Davies & Harte 1987; Wood & Chan 1994) costs
-    O(n log n) per row but draws 2(n-1) normals per row where Cholesky
-    draws n, so it is used when n_paths <= n, n >= 2 and the minimal
-    length-2(n-1) circulant is PSD to EMBEDDING_EIG_RTOL.  Its rows are
+    cov = gamma(0..n-1) is the array covariance() returns, copied, and eig
+    the n half-spectrum eigenvalues of its minimal length-2(n-1)
+    circulant; both are read-only.  The key must fix covariance()'s result:
+    (model, n, step_h) for exact paths, ("fgn", H, n, dt) for fGn.  Entries
+    are kept least recently used first while their charged bytes total at
+    most _CACHE_BYTES; a lock guards the map, and two threads that miss on
+    one key both build it, the first to finish keeping its entry.  A
+    covariance() that raises leaves no entry.
+    """
+    global _cache_bytes
+    with _cache_lock:
+        entry = _cache.get(key)
+        if entry is not None:
+            _cache.move_to_end(key)
+            return entry[:2]
+    cov = np.array(covariance(), dtype=float)
+    eig = np.fft.rfft(np.concatenate([cov, cov[-2:0:-1]])).real.copy()
+    cov.setflags(write=False)
+    eig.setflags(write=False)
+    size = cov.nbytes + eig.nbytes + _ENTRY_OVERHEAD
+    if size <= _CACHE_BYTES:
+        with _cache_lock:
+            if key not in _cache:
+                _cache[key] = (cov, eig, size)
+                _cache_bytes += size
+                while _cache_bytes > _CACHE_BYTES:
+                    _cache_bytes -= _cache.popitem(last=False)[1][2]
+    return cov, eig
+
+
+def _clear_cache() -> None:
+    """Drop every entry `_embedding` keeps."""
+    global _cache_bytes
+    with _cache_lock:
+        _cache.clear()
+        _cache_bytes = 0
+
+
+def _toeplitz_rows(embedding: tuple[np.ndarray, np.ndarray], n_paths: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """(n_paths, n) rows with covariance toeplitz(cov), (cov, eig) = embedding.
+
+    embedding comes from `_embedding`: cov = gamma(0..n-1) and eig its
+    circulant spectrum.  Circulant embedding (Davies & Harte 1987; Wood &
+    Chan 1994) costs O(n log n) per row but draws 2(n-1) normals per row
+    where Cholesky draws n, so it is used when n_paths <= n, n >= 2 and the
+    minimal length-2(n-1) circulant is PSD to EMBEDDING_EIG_RTOL.  Its rows are
     drawn, mapped by `_circulant_rows` and written out in blocks of about
     _BLOCK_ELEMENTS normals (at least one row), so no temporary spans all
     paths; the blocks draw the same stream, in the same order, as one
@@ -123,9 +182,9 @@ def _toeplitz_rows(cov: np.ndarray, n_paths: int, rng: np.random.Generator) -> n
     embedding is not attempted: on the inputs where the minimal one fails,
     padding cost more than the Cholesky it saves.
     """
+    cov, eig = embedding
     n = len(cov)
     if 1 < n and n_paths <= n:
-        eig = np.fft.rfft(np.concatenate([cov, cov[-2:0:-1]])).real
         if eig.min() >= -EMBEDDING_EIG_RTOL * eig.max():
             m = 2 * (n - 1)
             out = np.empty((n_paths, n))

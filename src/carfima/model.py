@@ -27,6 +27,12 @@ EIGEN_SEPARATION_RTOL = 1e-6
 # Strictness margin applied to max Re(lambda) when deciding stationarity.
 STATIONARITY_MARGIN_RTOL = 1e-10
 
+# Largest |beta_j|.  |beta(iw)|^2 sums the products beta_i beta_j, and the
+# spectra and autocovariances scale with it: squares up to 1e200 leave a
+# factor 1e108 of float64's range to the rest of the model, where
+# coefficients near 1e154 overflowed and escaped as OverflowError.
+_MAX_BETA = 1e100
+
 
 @dataclass(frozen=True)
 class CarfimaModel:
@@ -37,6 +43,7 @@ class CarfimaModel:
     empty for q = 0.  Requires finite parameters, sigma > 0, alpha_1 != 0,
     beta_q != 0 when q >= 1, 0 < H < 1 and 0 <= q < p; a parameter that is
     not a number (or a p or q that is not an integer) raises DomainError.
+    Each |beta_j| may be at most 1e100 (_MAX_BETA).
     """
 
     p: int
@@ -72,6 +79,8 @@ class CarfimaModel:
             raise DomainError("alpha_1 must be nonzero")
         if self.q >= 1 and self.beta[-1] == 0.0:
             raise DomainError("beta_q must be nonzero when q >= 1")
+        if any(abs(b) > _MAX_BETA for b in self.beta):
+            raise DomainError(f"each |beta_j| must be at most {_MAX_BETA:g}, got {self.beta}")
         if not 0.0 < self.H < 1.0:
             raise DomainError(f"H must lie in (0, 1), got {self.H}")
         if not self.sigma > 0.0:

@@ -23,7 +23,8 @@ from scipy.linalg import expm, toeplitz
 
 from .acf import _write_csv, autocovariance
 from .errors import DomainError
-from .fgn import MAX_GRID_POINTS, _check_size, _check_step, _toeplitz_rows, simulate_fgn
+from .fgn import (MAX_GRID_POINTS, _check_size, _check_step, _embedding, _toeplitz_rows,
+                  simulate_fgn)
 from .model import CarfimaModel, prepare, stationary_mean
 
 # sub-steps per block of the state scan: the Toeplitz product costs O(L)
@@ -105,13 +106,18 @@ def exact_gaussian_paths(
     one Cholesky factor shared by all paths otherwise.  The Gaussian block
     is drawn from a generator seeded by SeedSequence(seed), so results are
     reproducible and independent of how callers parallelize downstream.
+    The covariance and its circulant spectrum are built once per (model,
+    n, step_h) and kept in `fgn._embedding`'s bounded cache, so a repeated
+    draw costs only its normals and FFTs, with the same bits.
     n * n_paths may not exceed MAX_GRID_POINTS.
     """
     _check_size(n, n_paths)
     _check_step(step_h)
-    table = autocovariance(model, np.arange(n) * step_h, method="auto")
+    embedding = _embedding(
+        (model, n, step_h),
+        lambda: autocovariance(model, np.arange(n) * step_h, method="auto").values)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    paths = _toeplitz_rows(table.values, n_paths, rng)
+    paths = _toeplitz_rows(embedding, n_paths, rng)
     paths += stationary_mean(model)
     return paths
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from carfima import CarfimaModel
+from carfima.fgn import _clear_cache
 
 
 def car1(H, a1=-1.0, sigma=1.0, a0=0.0):
@@ -47,6 +48,13 @@ def random_stable_model(rng, p_max=3, H_choices=(0.1, 0.3, 0.55, 0.7, 0.9),
     Hval = float(H if H is not None else rng.choice(H_choices))
     sigma = float(rng.uniform(0.5, 2.0))
     return model_from_eigenvalues(lams, q=q, beta=beta, H=Hval, sigma=sigma)
+
+
+@pytest.fixture(autouse=True)
+def _empty_sampler_cache():
+    """Start each test with no cached covariance, so a monkeypatched ACF
+    cannot leave an entry that a later test draws from."""
+    _clear_cache()
 
 
 @pytest.fixture

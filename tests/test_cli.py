@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from carfima import CarfimaModel, acf_tail_asymptote, read_path_csv
+from carfima import CarfimaModel, acf_tail_asymptote, read_path_csv, simulate_exact
 from carfima.cli import MAX_GRID_POINTS, build_parser, main
 from carfima.spectrum import DEFAULT_ALIAS_K
 
@@ -349,7 +349,7 @@ def _bad_model_file(draw):
     roots = [-draw(st.floats(0.1, 3.0)) for _ in range(p)]
     beta = [draw(st.floats(-1.0, 1.0)) for _ in range(q - 1)] + [0.5] * (q > 0)
     flaw = draw(st.sampled_from(["missing", "type", "nonfinite", "mismatch",
-                                 "nonstationary", "not_an_object"]))
+                                 "nonstationary", "not_an_object"] + ["huge"] * (q > 0)))
     if flaw == "nonstationary":
         roots[draw(st.integers(0, p - 1))] = draw(st.floats(0.1, 3.0))
     d = {"p": p, "q": q, "alpha": [0.0, *(-np.poly(roots)[:0:-1]).tolist()],
@@ -366,6 +366,9 @@ def _bad_model_file(draw):
             d[field][draw(st.integers(0, len(d[field]) - 1))] = bad
         else:
             d[field] = bad
+    elif flaw == "huge":  # finite, but its square overflows float64
+        d["beta"][draw(st.integers(0, q - 1))] = draw(
+            st.sampled_from([1e160, -1e200, 1e300, -1.7e308]))
     elif flaw == "mismatch":
         field = draw(st.sampled_from(_FIELDS[:4]))
         if field in ("p", "q"):
@@ -395,6 +398,33 @@ class TestModelFileContract:
                            "--out", str(Path(tmp) / "out.csv"), *command[1:]])
         assert rc in (1, 2)
         assert "Traceback" not in err.getvalue()
+
+
+class TestHugeMaCoefficient:
+    # beta_1 = 1e160 once escaped as "OverflowError: (34, 'Numerical result
+    # out of range')" from the alias tail's beta_q^2
+    @pytest.mark.parametrize("command", ["spectrum", "fit"])
+    def test_exits_without_traceback(self, tmp_path, command):
+        m = CarfimaModel(p=2, q=1, alpha=(0.0, -1.0, -1.5), beta=(0.5,), H=0.3, sigma=1.0)
+        d = m.to_dict()
+        d["beta"] = [1e160]
+        model_file = tmp_path / "huge.json"
+        model_file.write_text(json.dumps(d))
+        if command == "spectrum":
+            argv = ["spectrum", "--model", str(model_file), "--out", str(tmp_path / "s.csv"),
+                    "--aliased", "--h", "1", "--K", "64"]
+        else:
+            path_file = tmp_path / "path.csv"
+            simulate_exact(m, 256, 1.0, seed=3).to_csv(path_file)
+            argv = ["fit", "--path", str(path_file), "--out", str(tmp_path / "f.json"),
+                    "--p", "2", "--q", "1", "--init", str(model_file)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv)
+        assert rc == 1
+        assert "beta" in err.getvalue() and "Traceback" not in err.getvalue()
 
 
 @st.composite

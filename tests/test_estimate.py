@@ -80,6 +80,20 @@ class TestPeriodogram:
         with pytest.raises(DomainError):
             periodogram(_path(np.zeros(8)))
 
+    def test_far_from_unit_scale(self):
+        # x 1e300 warned "overflow encountered in square" and gave inf
+        # values; x 1e-300 gave zeros
+        y = np.random.default_rng(0).standard_normal(256)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unit = periodogram(_path(y)).values
+            for k in (400, -400):
+                got = periodogram(_path(np.ldexp(y, k))).values
+                assert np.array_equal(got, np.ldexp(unit, 2 * k))
+            for scale in (1e300, 1e-300):
+                with pytest.raises(DomainError, match="over- or underflow"):
+                    periodogram(_path(y * scale))
+
 
 class TestWhittleObjective:
     def test_true_model_beats_perturbed_H(self):

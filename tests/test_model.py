@@ -220,6 +220,10 @@ class TestModelValidation:
             dict(p=1, q=0, alpha=(0.0, math.nan), beta=(), H=0.5, sigma=1.0),
             dict(p=2, q=1, alpha=(0.0, -1.0, -2.0), beta=(math.inf,), H=0.5, sigma=1.0),
             dict(p=1, q=0, alpha=(0.0, -1.0), beta=(), H=math.nan, sigma=1.0),
+            # finite, but |beta(iw)|^2 overflows or nearly does
+            dict(p=2, q=1, alpha=(0.0, -1.0, -2.0), beta=(1e160,), H=0.5, sigma=1.0),
+            dict(p=3, q=2, alpha=(0.0, -1.0, -3.0, -3.0), beta=(-1.5e100, 0.5), H=0.7,
+                 sigma=1.0),
         ],
     )
     def test_invalid_models_rejected(self, kwargs):

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -12,6 +14,7 @@ from carfima import (
     CarfimaModel,
     DomainError,
     FactorizationFailureError,
+    QuadratureError,
     SamplePath,
     acf_carma,
     autocovariance,
@@ -168,6 +171,156 @@ class TestExactSimulator:
     def test_requires_stationary(self):
         with pytest.raises(DomainError):
             simulate_exact(car1(0.7, a1=0.5), 32, 1.0, seed=0)
+
+
+class TestEmbeddingCache:
+    """The covariance and circulant spectrum are built once per (model, n, step)."""
+
+    @staticmethod
+    def counted_autocovariance(monkeypatch):
+        calls = []
+
+        def counted(model, lags, method="auto"):
+            calls.append((model, len(lags)))
+            return autocovariance(model, lags, method=method)
+
+        monkeypatch.setattr(sim_mod, "autocovariance", counted)
+        return calls
+
+    @staticmethod
+    def one_shot(model, n, step_h, n_paths, seed):
+        g = autocovariance(model, np.arange(n) * step_h).values
+        eig = np.fft.rfft(np.concatenate([g, g[-2:0:-1]])).real
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        return stationary_mean(model) + _circulant_rows(
+            eig, rng.standard_normal((n_paths, 2 * (n - 1))))
+
+    @pytest.mark.parametrize("n, n_paths", [(4096, 50), (300, 7), (20000, 3)])
+    def test_cold_and_warm_bits_equal_the_one_shot_map(self, n, n_paths):
+        m = car1(0.7, a0=2.0)
+        expect = self.one_shot(m, n, 0.5, n_paths, 4)
+        for _ in ("cold", "warm"):
+            assert np.array_equal(exact_gaussian_paths(m, n, 0.5, n_paths, seed=4), expect)
+        H, dt = 0.3, 0.25
+        cov = dt ** (2 * H) * fgn_mod.fgn_autocovariance(H, np.arange(n))
+        eig = np.fft.rfft(np.concatenate([cov, cov[-2:0:-1]])).real
+        z = np.random.default_rng(6).standard_normal((1, 2 * (n - 1)))
+        for _ in ("cold", "warm"):
+            assert np.array_equal(simulate_fgn(H, n, dt, 6), _circulant_rows(eig, z)[0])
+
+    def test_warm_call_computes_no_acf(self, monkeypatch):
+        calls = self.counted_autocovariance(monkeypatch)
+        m = car1(0.7)
+        for seed in range(3):
+            exact_gaussian_paths(m, 256, 1.0, 4, seed=seed)
+        simulate_exact(m, 256, 1.0, seed=9)  # one path, the same key
+        assert len(calls) == 1
+        exact_gaussian_paths(m, 257, 1.0, 4, seed=0)
+        exact_gaussian_paths(m, 256, 0.5, 4, seed=0)
+        exact_gaussian_paths(car1(0.7, sigma=2.0), 256, 1.0, 4, seed=0)
+        assert len(calls) == 4
+
+    def test_warm_fgn_call_computes_no_covariance(self, monkeypatch):
+        real, calls = fgn_mod.fgn_autocovariance, []
+
+        def counted(H, k):
+            calls.append(H)
+            return real(H, k)
+
+        monkeypatch.setattr(fgn_mod, "fgn_autocovariance", counted)
+        simulate_fgn(0.7, 500, 0.5, 1)
+        simulate_fgn(0.7, 500, 0.5, 2)
+        simulate_state_euler(car1(0.7), 64, 1.0, 4, seed=1)
+        simulate_state_euler(car1(0.7), 64, 1.0, 4, seed=2)
+        assert len(calls) == 2
+        simulate_fgn(0.7, 500, 0.25, 1)
+        simulate_fgn(0.3, 500, 0.5, 1)
+        assert len(calls) == 4
+
+    def test_non_psd_model_warns_on_every_call(self):
+        model, n, step_h, n_paths = car1(0.9, a1=-0.01), 128, 0.5, 3
+        g = autocovariance(model, np.arange(n) * step_h).values
+        rng = np.random.default_rng(np.random.SeedSequence(8))
+        expect = (np.linalg.cholesky(toeplitz(g)) @ rng.standard_normal((n, n_paths))).T
+        for _ in ("cold", "warm"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = exact_gaussian_paths(model, n, step_h, n_paths, seed=8)
+            assert sum("not PSD" in str(w.message) for w in caught) == 1
+            assert np.array_equal(got, expect)
+
+    def test_cached_arrays_are_read_only(self):
+        m = car1(0.7)
+        exact_gaussian_paths(m, 64, 1.0, 2, seed=0)
+
+        def no_build():
+            raise AssertionError("a cached entry was built again")
+
+        cov, eig = fgn_mod._embedding((m, 64, 1.0), no_build)
+        assert len(cov) == len(eig) == 64
+        for a in (cov, eig):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_bytes_stay_within_the_bound(self, monkeypatch):
+        # each entry at n = 64 is charged 2 * 64 * 8 bytes plus the overhead
+        entry = 2 * 64 * 8 + fgn_mod._ENTRY_OVERHEAD
+        monkeypatch.setattr(fgn_mod, "_CACHE_BYTES", 2 * entry + entry // 2)
+        calls = self.counted_autocovariance(monkeypatch)
+        models = [car1(H) for H in (0.3, 0.5, 0.7)]
+        for m in models:
+            exact_gaussian_paths(m, 64, 1.0, 2, seed=0)
+            assert fgn_mod._cache_bytes <= fgn_mod._CACHE_BYTES
+            assert fgn_mod._cache_bytes == sum(e[2] for e in fgn_mod._cache.values())
+        assert len(fgn_mod._cache) == 2  # the least recently used, H = 0.3, went
+        exact_gaussian_paths(models[2], 64, 1.0, 2, seed=1)
+        exact_gaussian_paths(models[0], 64, 1.0, 2, seed=1)
+        assert len(calls) == 4
+        # an entry larger than the bound is used but not kept
+        m = car1(0.7, a0=2.0)
+        big = exact_gaussian_paths(m, 300, 1.0, 3, seed=4)
+        assert np.array_equal(big, self.one_shot(m, 300, 1.0, 3, 4))
+        assert (m, 300, 1.0) not in fgn_mod._cache and len(fgn_mod._cache) == 2
+        assert fgn_mod._cache_bytes <= fgn_mod._CACHE_BYTES
+
+    def test_threads_keep_the_byte_count(self, monkeypatch):
+        # more threads than cores, switching often, on a bound that evicts
+        entry = 2 * 32 * 8 + fgn_mod._ENTRY_OVERHEAD
+        monkeypatch.setattr(fgn_mod, "_CACHE_BYTES", 5 * entry)
+        keys = [0.1 * k for k in range(1, 10)]
+        expect = {h: simulate_fgn(0.7, 32, h, 3) for h in keys}
+        errors = []
+
+        def draw():
+            try:
+                for _ in range(20):
+                    for h in keys:
+                        assert np.array_equal(simulate_fgn(0.7, 32, h, 3), expect[h])
+            except AssertionError as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert fgn_mod._cache_bytes == sum(e[2] for e in fgn_mod._cache.values())
+        assert fgn_mod._cache_bytes <= fgn_mod._CACHE_BYTES
+
+    def test_acf_that_raises_leaves_no_entry(self, monkeypatch):
+        def failing(model, lags, method="auto"):
+            raise QuadratureError("no ACF")
+
+        monkeypatch.setattr(sim_mod, "autocovariance", failing)
+        with pytest.raises(QuadratureError):
+            exact_gaussian_paths(car1(0.7), 64, 1.0, 2, seed=0)
+        assert not fgn_mod._cache and fgn_mod._cache_bytes == 0
 
 
 class TestStateEuler:
